@@ -309,16 +309,17 @@ def _assemble(terms: tuple) -> float:
     return total
 
 
-def ln_Ph_estimate(u: float, params: AsymptoticParams, tol: float = 1e-8,
+def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = 1e-8,
                    nu_max: int = 16) -> AsymptoticBreakdown:
-    """Assemble the generic ln P_h(u) estimate for u > e."""
-    u = float(u)
+    """Assemble the generic ln P_h(u) estimate for u > e.  An exact int u
+    may lie beyond the float range."""
     if not u > math.e:
         raise DomainError(f"estimate needs u > e, got {u}")
     a, b = params.a, params.b
-    arg = math.log(u) - math.log(math.log(u)) - math.log(a)
+    lu = math.log(u)
+    arg = lu - math.log(lu) - math.log(a)
     quad_term = 0.5 * a * arg * arg
-    lin_term = (a - 0.5) * math.log(u)
+    lin_term = (a - 0.5) * lu
     bline_term = (b - 0.5) * arg
     w_value = w_oscillation_complex(arg, nu_max, params.rho, params.fourier_c).real
     gauss_const = -0.5 * math.log(2.0 * math.pi)
@@ -337,4 +338,4 @@ def ln_ps_estimate(n: int, tol: float = 1e-8, nu_max: int = 16) -> AsymptoticBre
     """
     if n < 2:
         raise DomainError(f"estimate needs n >= 2, got {n}")
-    return ln_Ph_estimate(float(n + 1), mersenne_params(tol), tol, nu_max)
+    return ln_Ph_estimate(n + 1, mersenne_params(tol), tol, nu_max)

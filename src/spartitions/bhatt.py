@@ -13,13 +13,15 @@ and m_i = 1 contributes 1^0 = 1.  Any bounded convention leaves the
 audit's conclusion intact because the count/bound gap is asymptotic.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .counting import CountTable, count_s_partitions_table, ln_count
 from .errors import DomainError
 
-__all__ = ["AuditRecord", "AuditSummary", "bhatt_bound", "audit_scan", "run_audit"]
+__all__ = ["AuditRecord", "AuditSummary", "bhatt_bound", "audit_scan", "summarize",
+           "run_audit"]
 
 TERM_CONVENTION = (
     "summand conventions: n-3i < 2 -> 0; floor(log2(n-3i)) = 0 -> 0 "
@@ -28,8 +30,9 @@ TERM_CONVENTION = (
 
 MAX_SCAN = 10 ** 6
 
-# m^(m-1) lookup; m <= 63 covers any n below 2^64
-_POW = {m: m ** (m - 1) for m in range(2, 64)}
+# m^(m-1) memo, filled on first use so that no n is out of range;
+# computing the power on every call would double bhatt_bound's cost
+_POW: dict[int, int] = {}
 
 
 @dataclass(frozen=True)
@@ -61,10 +64,7 @@ def bhatt_bound(n: int) -> int:
         if x < 2:
             continue
         m = x.bit_length() - 1
-        if m == 1:
-            total += 1
-        else:
-            total += _POW[m]
+        total += _POW.get(m) or _POW.setdefault(m, m ** (m - 1))
     return total
 
 
@@ -81,21 +81,25 @@ def audit_scan(n_max: int, table: CountTable | None = None) -> Iterator[AuditRec
         yield AuditRecord(n, exact, bound, exact > bound)
 
 
-def run_audit(n_max: int, table: CountTable | None = None) -> AuditSummary:
-    """Scan to n_max and summarize: minimal violating n (or None) and the
-    largest exact/bound ratio observed."""
+def summarize(records: Iterable[AuditRecord]) -> AuditSummary:
+    """Fold an audit scan into its summary: minimal violating n (or None)
+    and the largest exact/bound ratio observed.  n_max is the n of the
+    last record."""
+    n_max = 0
     first = None
     violations = 0
     best_ratio = 0.0
     best_n = 1
     monotone = True
     prev_bound = None
-    for rec in audit_scan(n_max, table):
+    for rec in records:
+        n_max = rec.n
         if rec.violated:
             violations += 1
             if first is None:
                 first = rec.n
-        ratio = _ratio(rec.exact, rec.bound)
+        # exact/bound through logs; both sides can exceed float range
+        ratio = math.exp(ln_count(rec.exact) - ln_count(rec.bound))
         if ratio > best_ratio:
             best_ratio, best_n = ratio, rec.n
         if rec.n >= 16:
@@ -105,7 +109,6 @@ def run_audit(n_max: int, table: CountTable | None = None) -> AuditSummary:
     return AuditSummary(n_max, first, violations, best_ratio, best_n, monotone)
 
 
-def _ratio(exact: int, bound: int) -> float:
-    # exact/bound through logs; both sides can exceed float range
-    import math
-    return math.exp(ln_count(exact) - ln_count(bound))
+def run_audit(n_max: int, table: CountTable | None = None) -> AuditSummary:
+    """Scan n = 1..n_max and summarize the scan."""
+    return summarize(audit_scan(n_max, table))

@@ -10,8 +10,8 @@ import argparse
 import csv
 import json
 import math
-import random
 import sys
+from dataclasses import asdict
 
 from . import asymptotics, bhatt, counting, modexp
 from .errors import AccuracyError, DomainError
@@ -57,21 +57,9 @@ def _cmd_table(args, emit):
         emit({"n": n, "count": str(table[n])})
 
 
-def _breakdown_record(bd: asymptotics.AsymptoticBreakdown) -> dict:
-    return {
-        "quad_term": bd.quad_term,
-        "lin_term": bd.lin_term,
-        "bline_term": bd.bline_term,
-        "w_value": bd.w_value,
-        "gauss_const": bd.gauss_const,
-        "h_const": bd.h_const,
-        "total": bd.total,
-    }
-
-
 def _cmd_estimate(args, emit):
     bd = asymptotics.ln_ps_estimate(args.n, tol=args.tol, nu_max=args.nu_max)
-    record = {"n": args.n, **_breakdown_record(bd)}
+    record = {"n": args.n, **asdict(bd)}
     if args.n <= EXACT_LN_LIMIT:
         exact_ln = counting.count_s_partitions_table(args.n).ln(args.n)
         record["exact_ln"] = exact_ln
@@ -101,37 +89,17 @@ def _cmd_w_eval(args, emit):
 
 
 def _cmd_bhatt_audit(args, emit):
-    table = counting.count_s_partitions_table(args.max_n)
-    first = None
-    violations = 0
-    best_ratio, best_n = 0.0, 1
-    monotone = True
-    prev_bound = None
-    for rec in bhatt.audit_scan(args.max_n, table):
-        emit({
-            "record_type": "audit", "n": rec.n, "exact": str(rec.exact),
-            "bound": str(rec.bound), "violated": rec.violated,
-        })
-        if rec.violated:
-            violations += 1
-            if first is None:
-                first = rec.n
-        ratio = math.exp(counting.ln_count(rec.exact) - counting.ln_count(rec.bound))
-        if ratio > best_ratio:
-            best_ratio, best_n = ratio, rec.n
-        if rec.n >= 16:
-            if prev_bound is not None and rec.bound < prev_bound:
-                monotone = False
-            prev_bound = rec.bound
-    summary = {
-        "record_type": "summary",
-        "first_violation": first,
-        "violations": violations,
-        "max_ratio": best_ratio,
-        "max_ratio_n": best_n,
-        "bound_monotone_from_16": monotone,
-        "convention": bhatt.TERM_CONVENTION,
-    }
+    def emitted(records):
+        for rec in records:
+            emit({
+                "record_type": "audit", "n": rec.n, "exact": str(rec.exact),
+                "bound": str(rec.bound), "violated": rec.violated,
+            })
+            yield rec
+
+    fields = asdict(bhatt.summarize(emitted(bhatt.audit_scan(args.max_n))))
+    del fields["n_max"]
+    summary = {"record_type": "summary", **fields}
     if args.format == "csv":
         print(json.dumps(summary), file=sys.stderr)
     else:
@@ -169,7 +137,7 @@ def _cmd_binary_cross_check(args, emit):
     bd = asymptotics.ln_Ph_estimate(float(args.n + 1), params, tol=args.tol,
                                     nu_max=args.nu_max)
     emit({
-        "n": args.n, **_breakdown_record(bd),
+        "n": args.n, **asdict(bd),
         "exact_ln": exact_ln, "error": bd.total - exact_ln,
     })
 
@@ -180,8 +148,6 @@ def _build_parser() -> _Parser:
                                  "asymptotics, bound audit, modexp.")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default: json lines)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="exact p_s(n)")
@@ -235,8 +201,6 @@ def _build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     emitter = _Emitter(args.format, sys.stdout)
     try:
         args.func(args, emitter.emit)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from spartitions import (
@@ -328,6 +329,21 @@ def test_estimate_against_exact_counts():
     assert err_16 < err_1e4
     assert abs(err_1e3 - 1.0584) <= 2e-3
     assert abs(err_1e4 - 0.9216) <= 2e-3
+
+
+def test_estimate_beyond_float_range():
+    # n + 1 = 10^400 + 1 has no float; the log terms come from the exact int
+    n = 10 ** 400
+    bd = ln_ps_estimate(n)
+    with mpmath.workdps(40):
+        a = 1 / mpmath.log(2)
+        lnu = mpmath.log(mpmath.mpf(n + 1))
+        arg = lnu - mpmath.log(lnu) - mpmath.log(a)
+        refs = {"quad_term": a / 2 * arg ** 2, "lin_term": (a - 0.5) * lnu,
+                "bline_term": -arg}
+    for name, ref in refs.items():
+        assert abs(getattr(bd, name) - float(ref)) <= 1e-12 * abs(float(ref)), name
+    assert math.isfinite(bd.total)
 
 
 def test_estimate_total_increasing():

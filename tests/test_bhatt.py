@@ -22,6 +22,22 @@ def test_bound_examples():
     assert bhatt_bound(1) == 2
 
 
+def test_bound_beyond_64_bits():
+    def floor_log2(x):  # exact; float log2 rounds up just below 2^64
+        m = 0
+        while 2 ** (m + 1) <= x:
+            m += 1
+        return m
+
+    # every n - 3i here is >= 2^63, so no degenerate summand arises
+    for n in (2 ** 64, 2 ** 64 + 5, 2 ** 100):
+        direct = 2 + n // 3
+        for i in range(floor_log2(n) + 1):
+            m = floor_log2(n - 3 * i)
+            direct += m ** (m - 1)
+        assert bhatt_bound(n) == direct, n
+
+
 def test_bound_domain():
     with pytest.raises(DomainError):
         bhatt_bound(0)

@@ -1,8 +1,10 @@
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
+from spartitions import run_audit
 from spartitions.cli import run
 
 
@@ -74,6 +76,17 @@ def test_bhatt_audit_stream_and_summary(capsys):
     assert len(summary) == 1
     assert summary[0]["first_violation"] is None
     assert "0^-1" in summary[0]["convention"]
+    library = asdict(run_audit(20))
+    del library["n_max"]
+    assert summary[0] == {"record_type": "summary", **library}
+
+
+def test_estimate_beyond_float_range(capsys):
+    code, recs = run_json(capsys, ["estimate", "--n", str(10 ** 400)])
+    assert code == 0
+    assert recs[0]["n"] == 10 ** 400
+    assert "exact_ln" not in recs[0]
+    assert math.isfinite(recs[0]["total"])
 
 
 def test_modexp_check(capsys):
@@ -114,9 +127,3 @@ def test_unknown_command_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         run(["frobnicate"])
     assert info.value.code == 1
-
-
-def test_seed_flag_accepted(capsys):
-    code, recs = run_json(capsys, ["--seed", "7", "count", "--n", "3"])
-    assert code == 0
-    assert recs[0]["count"] == "2"

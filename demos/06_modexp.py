@@ -1,7 +1,8 @@
 """Modular exponentiation through the greedy Mersenne-part decomposition.
 
-Each part 2^k - 1 evaluates with k-1 square-and-multiply rounds, so the
-whole exponent costs about 2 log2 n modular multiplications.
+Each part 2^k - 1 evaluates with k-1 square-and-multiply rounds of its
+own, so the whole exponent costs 2 * sum(k_i - 1) + #parts modular
+multiplications, O(log^2 n) rather than the ~2 log2 n of a shared chain.
 """
 
 from spartitions import (

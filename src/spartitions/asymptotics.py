@@ -13,16 +13,16 @@ with H = c - b ln l1 - a ln^2(l1)/2 + a * I, where c is the mean of the
 integrated remainder, I is a fixed tail integral, and W is a small
 periodic oscillation built from Gamma and zeta on the imaginary axis.
 
-Two parameter families are built in: Mersenne parts 2^k - 1 (a = 1/ln2,
-b = -1/2, c = (pi^2 + ln^2 2)/(12 ln2) + alpha) and power-of-two parts
-(a = 1/ln2, b = +1/2, c = ln2/12).  Both share the period ln 2 and the
-Fourier coefficients -ln2 / (4 pi^2 nu^2).
+The estimate serves two part families: Mersenne parts 2^k - 1 (b = -1/2,
+c = (pi^2 + ln^2 2)/(12 ln2) + alpha) and power-of-two parts (b = +1/2,
+c = ln2/12).  Both have a = 1/ln2, smallest part 1, step 1, the period
+ln 2 and the Fourier coefficients -ln2 / (4 pi^2 nu^2), so H reduces to
+c + a I and only b and c vary.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+A = 1.0 / LN2  # the coefficient a of ln u in N(u), shared by both families
 _MIN_TOL = 1e-10
 
 
@@ -107,8 +108,8 @@ def alpha_constant(tol: float = 1e-8) -> float:
     analytic tail bound |f| <= 1/2, integral of 1/(v(v-1)) beyond 2^K
     <= 1/(2^K - 1); K is chosen so the bound is under tol/2.
     """
-    if tol < _MIN_TOL:
-        raise DomainError(f"alpha tolerance floor is {_MIN_TOL:g}, got {tol}")
+    if not _MIN_TOL <= tol < math.inf:
+        raise DomainError(f"alpha needs {_MIN_TOL:g} <= tol < inf, got {tol}")
     K = 2
     while 0.5 / (2.0 ** K - 1.0) >= 0.5 * tol:
         K += 1
@@ -154,8 +155,8 @@ def tail_integral_I(tol: float = 1e-8) -> float:
     The range [T, infinity) is dropped under the analytic bound
     (ln T + 1) e^-T (1 + 2 e^-T) < tol/2; [0, T] goes to quadrature.
     """
-    if tol < _MIN_TOL:
-        raise DomainError(f"tail tolerance floor is {_MIN_TOL:g}, got {tol}")
+    if not _MIN_TOL <= tol < math.inf:
+        raise DomainError(f"tail integral needs {_MIN_TOL:g} <= tol < inf, got {tol}")
     T = 2.0
     while (math.log(T) + 1.0) * math.exp(-T) * (1.0 + 2.0 * math.exp(-T)) >= 0.5 * tol:
         T += 1.0
@@ -171,21 +172,10 @@ def tail_integral_I(tol: float = 1e-8) -> float:
 def H_constant(tol: float = 1e-8) -> float:
     """Additive constant for the Mersenne family: c + I/ln 2.
 
-    Asserts agreement with the general form c - b ln l1 - a ln^2(l1)/2
-    + a I, which collapses to the same value because the smallest part
-    is 1.
+    The general form c - b ln l1 - a ln^2(l1)/2 + a I collapses to this
+    because the smallest part l1 is 1.
     """
-    c = c_constant(tol)
-    tail = tail_integral_I(tol)
-    direct = c + tail / LN2
-    general = _h_from(a=1.0 / LN2, b=-0.5, c=c, lambda1=1.0, tail=tail)
-    assert abs(direct - general) <= 1e-12 * max(1.0, abs(direct))
-    return direct
-
-
-def _h_from(a: float, b: float, c: float, lambda1: float, tail: float) -> float:
-    lnl1 = math.log(lambda1)
-    return c - b * lnl1 - 0.5 * a * lnl1 * lnl1 + a * tail
+    return c_constant(tol) + tail_integral_I(tol) / LN2
 
 
 def dyadic_fourier_coefficient(nu: int) -> float:
@@ -214,34 +204,19 @@ def sawtooth_log_integral_series(u: float, nu_max: int = 10_000) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticParams:
-    """Inputs of the generic estimate for one part family.
+    """The two constants that tell the dyadic part families apart.
 
-    fourier_c maps nu (nonzero int) to the real Fourier coefficient of
-    the periodic remainder mean; nu = 0 is implicitly zero.  The family
-    must satisfy sum |c_nu / nu| < infinity, automatic for the built-in
-    1/nu^2 coefficients.
+    b is the constant term of N(u) = a ln u + b + R(u) and c the mean of
+    the integrated remainder.
     """
 
-    a: float
     b: float
     c: float
-    rho: float       # period of the remainder mean in ln u
-    lambda1: float   # smallest part
-    h: float         # difference step of P_h
-    fourier_c: Callable[[int], float]
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.rho > 0 and self.lambda1 > 0 and self.h > 0):
-            raise DomainError(
-                f"need a, rho, lambda1, h > 0, got a={self.a}, rho={self.rho}, "
-                f"lambda1={self.lambda1}, h={self.h}"
-            )
 
 
 def mersenne_params(tol: float = 1e-8) -> AsymptoticParams:
     """Parameters of the Mersenne-part family 1, 3, 7, 15, ..."""
-    return AsymptoticParams(a=1.0 / LN2, b=-0.5, c=c_constant(tol), rho=LN2,
-                            lambda1=1.0, h=1.0, fourier_c=dyadic_fourier_coefficient)
+    return AsymptoticParams(b=-0.5, c=c_constant(tol))
 
 
 def binary_partition_params(tol: float = 1e-8) -> AsymptoticParams:
@@ -251,31 +226,30 @@ def binary_partition_params(tol: float = 1e-8) -> AsymptoticParams:
     remainder mean is exactly ln2/12 with the same dyadic Fourier
     coefficients.
     """
-    return AsymptoticParams(a=1.0 / LN2, b=0.5, c=LN2 / 12.0, rho=LN2,
-                            lambda1=1.0, h=1.0, fourier_c=dyadic_fourier_coefficient)
+    return AsymptoticParams(b=0.5, c=LN2 / 12.0)
 
 
-def w_oscillation_complex(z: float, nu_max: int = 16,
-                          rho: float = LN2,
-                          fourier_c: Callable[[int], float] = dyadic_fourier_coefficient) -> complex:
+def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     """Paired complex sum of the oscillation before taking the real part.
 
-    - sum over 0 < |nu| <= nu_max of (2 pi nu / rho)^2 Gamma(2 pi i nu/rho)
-    zeta(1 + 2 pi i nu/rho) c_nu e^{2 pi i nu z / rho}.  The imaginary
-    residue is roundoff only.  Frequencies beyond the Gamma band are
-    dropped: |Gamma(it)| < 1e-130 there, far below double noise.
+    - sum over 0 < |nu| <= nu_max of (2 pi nu / ln2)^2 Gamma(2 pi i nu/ln2)
+    zeta(1 + 2 pi i nu/ln2) c_nu e^{2 pi i nu z / ln2}.  The -nu term is
+    the conjugate of the +nu term, so the imaginary part is exactly 0.
+    Frequencies beyond the Gamma band are dropped: |Gamma(it)| < 1e-130
+    there, far below double noise.
     """
     if nu_max < 1:
         raise DomainError(f"needs nu_max >= 1, got {nu_max}")
+    if not math.isfinite(z):
+        raise DomainError(f"needs a finite z, got {z}")
     total = 0.0 + 0.0j
     for nu in range(1, nu_max + 1):
-        t = 2.0 * math.pi * nu / rho
+        t = 2.0 * math.pi * nu / LN2
         if t > GAMMA_IM_BAND:
             break
         factor = -(t * t) * gamma_complex(1j * t) * zeta_complex(1.0 + 1j * t)
-        term = factor * fourier_c(nu) * complex(math.cos(t * z), math.sin(t * z))
-        conj_term = factor.conjugate() * fourier_c(-nu) * complex(math.cos(t * z), -math.sin(t * z))
-        total += term + conj_term
+        term = factor * dyadic_fourier_coefficient(nu) * complex(math.cos(t * z), math.sin(t * z))
+        total += term + term.conjugate()
     return total
 
 
@@ -311,25 +285,24 @@ def _assemble(terms: tuple) -> float:
 
 def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = 1e-8,
                    nu_max: int = 16) -> AsymptoticBreakdown:
-    """Assemble the generic ln P_h(u) estimate for u > e.  An exact int u
-    may lie beyond the float range."""
-    if not u > math.e:
-        raise DomainError(f"estimate needs u > e, got {u}")
-    a, b = params.a, params.b
+    """Assemble the ln P_h(u) estimate of a dyadic family for finite u > e.
+    An exact int u may lie beyond the float range."""
+    if not math.e < u < math.inf:
+        raise DomainError(f"estimate needs finite u > e, got {u}")
     lu = math.log(u)
-    arg = lu - math.log(lu) - math.log(a)
-    quad_term = 0.5 * a * arg * arg
-    lin_term = (a - 0.5) * lu
-    bline_term = (b - 0.5) * arg
-    w_value = w_oscillation_complex(arg, nu_max, params.rho, params.fourier_c).real
+    arg = lu - math.log(lu) - math.log(A)
+    quad_term = 0.5 * A * arg * arg
+    lin_term = (A - 0.5) * lu
+    bline_term = (params.b - 0.5) * arg
+    w_value = w_oscillation_complex(arg, nu_max).real
     gauss_const = -0.5 * math.log(2.0 * math.pi)
-    h_const = _h_from(a, b, params.c, params.lambda1, tail_integral_I(tol))
+    h_const = params.c + A * tail_integral_I(tol)
     terms = (quad_term, lin_term, bline_term, w_value, gauss_const, h_const)
     return AsymptoticBreakdown(*terms, total=_assemble(terms))
 
 
 def ln_ps_estimate(n: int, tol: float = 1e-8, nu_max: int = 16) -> AsymptoticBreakdown:
-    """Estimate of ln p_s(n) (Mersenne parts), n >= 2: the generic form
+    """Estimate of ln p_s(n) (Mersenne parts), n >= 2: ln_Ph_estimate
     at u = n + 1.
 
     The oscillation argument is ln u - lnln u - ln a = ln(n+1)

@@ -33,16 +33,21 @@ class CountTable:
     counts: list  # counts[n] = number of partitions of n
 
     def __getitem__(self, n: int) -> int:
+        if not 0 <= n <= self.n_max:
+            raise DomainError(f"table holds 0 <= n <= {self.n_max}, got {n}")
         return self.counts[n]
 
     def ln(self, n: int) -> float:
         """Natural log of counts[n], accurate to >= 12 significant digits."""
+        # checked here, not through self[n]: table scans call ln per n
+        if not 0 <= n <= self.n_max:
+            raise DomainError(f"table holds 0 <= n <= {self.n_max}, got {n}")
         return ln_count(self.counts[n])
 
     def cumulative(self, u: int) -> int:
         """Sum of counts[0..u-1]; the solution counter P(u) at integer u."""
-        if u < 1:
-            raise DomainError(f"cumulative requires u >= 1, got {u}")
+        if not 1 <= u <= self.n_max + 1:
+            raise DomainError(f"cumulative needs 1 <= u <= {self.n_max + 1}, got {u}")
         return sum(self.counts[: u])
 
 

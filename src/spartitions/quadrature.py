@@ -6,11 +6,8 @@ endpoint singularities (ln(1+t)/t at 0, the tail-integral kernel) can
 be integrated without special casing, provided callers supply any
 interior breakpoints (sawtooth corners, dyadic points) up front: the
 engine never subdivides *across* a supplied breakpoint, it starts from
-them.
-
-A semi-infinite upper limit is handled by the substitution
-v = a + t/(1-t) on t in [0, 1); the transformed integrand must decay,
-which every integrand in this package's catalogue does.
+them.  Limits must be finite: callers cut infinite tails off with an
+analytic bound first.
 """
 
 import heapq
@@ -85,32 +82,19 @@ def _gauss_kronrod(f, a: float, b: float):
 
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
                        breakpoints=(), max_intervals: int = 4096) -> QuadratureResult:
-    """Integrate f over [a, b] (b may be math.inf) to absolute tolerance tol.
+    """Integrate f over the finite interval [a, b] to absolute tolerance tol.
 
     breakpoints: interior abscissae where f or a derivative jumps; the
     initial subdivision is split there.  Raises AccuracyError (with the
     best estimate attached) if the interval budget is exhausted before
     the error estimate drops below tol.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if not b > a:
-        raise DomainError(f"need b > a, got [{a}, {b}]")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if not -math.inf < a < b < math.inf:
+        raise DomainError(f"need finite a < b, got [{a}, {b}]")
 
-    if math.isinf(b):
-        g = f
-
-        def f(t, _g=g, _a=a):
-            w = 1.0 - t
-            return _g(_a + t / w) / (w * w)
-
-        points = [0.0]
-        for p in sorted(breakpoints):
-            if p > a:
-                points.append((p - a) / (1.0 + (p - a)))
-        points.append(1.0)
-    else:
-        points = [a] + [p for p in sorted(breakpoints) if a < p < b] + [b]
+    points = [a] + [p for p in sorted(breakpoints) if a < p < b] + [b]
 
     nevals = 0
     heap = []  # (-err, lo, hi, value, err)

@@ -4,7 +4,6 @@ import mpmath
 import pytest
 
 from spartitions import (
-    AsymptoticParams,
     DomainError,
     H_constant,
     alpha_constant,
@@ -105,8 +104,9 @@ def test_alpha_first_slice_against_midpoint_oracle():
 
 
 def test_alpha_tolerance_floor():
-    with pytest.raises(DomainError):
-        alpha_constant(1e-12)
+    for tol in (1e-12, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            alpha_constant(tol)
 
 
 def test_absolute_convergence_of_alpha_slices():
@@ -159,16 +159,15 @@ def test_tail_kernel_limit_and_value():
 def test_tail_integral_value_and_stability():
     assert abs(tail_integral_I(1e-8) - TAIL_REF) <= 1e-8
     assert abs(tail_integral_I(1e-10) - TAIL_REF) <= 1e-10
-    with pytest.raises(DomainError):
-        tail_integral_I(1e-11)
+    for tol in (1e-11, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            tail_integral_I(tol)
 
 
 def test_H_composition_and_reduction():
     tol = 1e-8
     h = H_constant(tol)
     assert abs(h - c_constant(tol) - tail_integral_I(tol) / LN2) <= 1e-14
-    # the general form with lambda1 = 1 collapses to the direct form;
-    # H_constant asserts that internally on every call
     assert abs(h - 2.3511074602466) <= 1e-7
 
 
@@ -249,7 +248,8 @@ def test_w_prefactor_simplification():
 
 
 def test_w_real_and_periodic():
-    assert abs(w_oscillation_complex(0.0).imag) <= 1e-14
+    for z in (0.0, 0.1, 0.3, 17.5):
+        assert w_oscillation_complex(z).imag == 0.0
     for z in (0.0, 0.1, 0.3):
         assert abs(w_oscillation(z + LN2) - w_oscillation(z)) <= 1e-14
 
@@ -272,25 +272,9 @@ def test_w_nu_max_insensitive():
     assert abs(w_oscillation(0.1, 2) - w_oscillation(0.1, 16)) <= 1e-12
     with pytest.raises(DomainError):
         w_oscillation(0.1, 0)
-
-
-def test_params_validation():
-    with pytest.raises(DomainError):
-        AsymptoticParams(a=-1.0, b=0.0, c=0.0, rho=1.0, lambda1=1.0, h=1.0,
-                         fourier_c=dyadic_fourier_coefficient)
-    with pytest.raises(DomainError):
-        AsymptoticParams(a=1.0, b=0.0, c=0.0, rho=0.0, lambda1=1.0, h=1.0,
-                         fourier_c=dyadic_fourier_coefficient)
-
-
-def test_estimate_zero_coefficients():
-    params = AsymptoticParams(a=1.0 / LN2, b=-0.5, c=1.0, rho=LN2,
-                              lambda1=1.0, h=1.0, fourier_c=lambda nu: 0.0)
-    bd = ln_Ph_estimate(100.0, params)
-    assert bd.w_value == 0.0
-    smooth = (bd.quad_term + bd.lin_term + bd.bline_term + bd.gauss_const
-              + bd.h_const)
-    assert abs(bd.total - smooth) <= 1e-12
+    for z in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            w_oscillation(z)
 
 
 def test_generic_estimate_matches_mersenne_wrapper():
@@ -357,6 +341,11 @@ def test_estimate_domain_errors():
         ln_ps_estimate(1)
     with pytest.raises(DomainError):
         ln_Ph_estimate(2.0, mersenne_params(1e-8))
+    for n in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ln_ps_estimate(n)
+        with pytest.raises(DomainError):
+            ln_Ph_estimate(n, binary_partition_params(1e-8))
 
 
 def test_binary_params_structure():

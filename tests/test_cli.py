@@ -57,6 +57,11 @@ def test_constants(capsys):
     assert rec["alpha_error_bound"] == 1e-7
 
 
+def test_constants_rejects_nan_tol(capsys):
+    assert run(["constants", "--tol", "nan"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_w_eval(capsys):
     code, recs = run_json(capsys, ["w-eval", "--points", "8"])
     assert code == 0

@@ -80,6 +80,20 @@ def test_cumulative_domain():
         cumulative_P(0)
 
 
+def test_table_bounds():
+    table = count_s_partitions_table(10)
+    assert table[0] == 1 and table[10] == 6
+    assert table.cumulative(11) == sum(table.counts)
+    for n in (-1, 11, 1000):
+        with pytest.raises(DomainError):
+            table[n]
+        with pytest.raises(DomainError):
+            table.ln(n)
+    for u in (0, -1, 12, 1000):
+        with pytest.raises(DomainError):
+            table.cumulative(u)
+
+
 def test_binary_small_values(binary500):
     assert binary500[0] == 1
     assert binary500[4] == 4          # {4},{2,2},{2,1,1},{1,1,1,1}

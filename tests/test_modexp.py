@@ -68,6 +68,18 @@ def test_pow_mersenne_domain():
         pow_mersenne_part(2, 0, 5)
 
 
+def test_modexp_operation_count():
+    # every part rebuilds its own chain: 2 (k - 1) per part, plus one
+    # multiply per part into the result
+    for n, total in ((0, 0), (1, 1), (12345, 75), (2 ** 64 - 1, 127),
+                     (10 ** 18, 1844)):
+        ops = OpCount()
+        modexp_spartition(7, n, 2 ** 61 - 1, ops)
+        exponents = greedy_decompose(n).exponents
+        assert ops.total == 2 * sum(k - 1 for k in exponents) + len(exponents)
+        assert ops.total == total, n
+
+
 def test_modexp_examples():
     assert modexp_spartition(5, 0, 7) == 1
     assert modexp_spartition(2, 10, 1000) == 24

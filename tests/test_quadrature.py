@@ -26,17 +26,6 @@ def test_sawtooth_middle_interval():
     assert abs(res.value) <= 1e-10
 
 
-def test_semi_infinite_exponential():
-    res = integrate_adaptive(lambda v: math.exp(-v), 0.0, math.inf, tol=1e-10)
-    assert abs(res.value - 1.0) <= 1e-10
-
-
-def test_semi_infinite_lorentzian():
-    res = integrate_adaptive(lambda v: 1.0 / (1.0 + v * v), 0.0, math.inf,
-                             tol=1e-10)
-    assert abs(res.value - math.pi / 2.0) <= 1e-10
-
-
 def test_breakpoint_kink():
     res = integrate_adaptive(lambda v: abs(v - 1.0 / 3.0), 0.0, 1.0,
                              tol=1e-12, breakpoints=[1.0 / 3.0])
@@ -47,7 +36,6 @@ def test_honesty_on_known_integrals():
     cases = [
         (lambda t: t, 0.0, 1.0, 0.5),
         (log1p_over_t, 0.0, 1.0, math.pi ** 2 / 12.0),
-        (lambda t: math.exp(-t), 0.0, math.inf, 1.0),
         (lambda t: math.cos(t), 0.0, math.pi / 2.0, 1.0),
     ]
     for f, a, b, truth in cases:
@@ -69,3 +57,9 @@ def test_domain_errors():
         integrate_adaptive(lambda v: v, 0.0, 1.0, tol=0.0)
     with pytest.raises(DomainError):
         integrate_adaptive(lambda v: v, 1.0, 0.0)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            integrate_adaptive(lambda v: v, 0.0, 1.0, tol=tol)
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            integrate_adaptive(lambda v: math.exp(-v), a, b)

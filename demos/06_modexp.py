@@ -1,8 +1,9 @@
 """Modular exponentiation through the greedy Mersenne-part decomposition.
 
-Each part 2^k - 1 evaluates with k-1 square-and-multiply rounds of its
-own, so the whole exponent costs 2 * sum(k_i - 1) + #parts modular
-multiplications, O(log^2 n) rather than the ~2 log2 n of a shared chain.
+One chain x -> x^2 * a climbs from a to the largest part 2^K - 1 and
+passes every smaller part on the way, so the whole exponent costs
+2 (K - 1) + #parts modular multiplications: O(log n), 144 for n = 10^18
+where rebuilding the chain for every part took 1844.
 """
 
 from spartitions import (
@@ -23,7 +24,7 @@ ours = modexp_spartition(a, n, m, ops)
 ref = modexp_reference(a, n, m)
 print(f"\n{a}^{n} mod {m}")
 print(f"  decomposition route: {ours}")
-print(f"  binary reference:    {ref}")
+print(f"  builtin pow:         {ref}")
 print(f"  agreement: {ours == ref}")
 print(f"  cost: {ops.squarings} squarings + {ops.multiplies} multiplies "
       f"= {ops.total} modular multiplications (exponent has {n.bit_length()} bits)")

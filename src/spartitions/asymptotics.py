@@ -61,8 +61,8 @@ def sawtooth_f(x) -> float:
     The floor is taken from the binary exponent (frexp), never from a
     rounded logarithm, so f(2^k) = +1/2 exactly.
     """
-    if x < 1:
-        raise DomainError(f"sawtooth_f needs x >= 1, got {x}")
+    if not 1 <= x < math.inf:
+        raise DomainError(f"sawtooth_f needs finite x >= 1, got {x}")
     _, exponent = math.frexp(x)
     return (exponent - 1) - math.log2(x) + 0.5
 
@@ -73,8 +73,8 @@ def remainder_R(u) -> float:
     R(u) = ln(1 + 1/u)/ln 2 + f(u + 1); it reconstructs
     floor(log2(u+1)) = ln u/ln2 - 1/2 + R(u) exactly.
     """
-    if u < 1:
-        raise DomainError(f"remainder_R needs u >= 1, got {u}")
+    if not 1 <= u < math.inf:
+        raise DomainError(f"remainder_R needs finite u >= 1, got {u}")
     return math.log1p(1.0 / u) / LN2 + sawtooth_f(u + 1)
 
 
@@ -90,8 +90,8 @@ def _dyadic_breakpoints(lo: float, hi: float) -> list:
 
 def sawtooth_log_integral(u: float, tol: float = 1e-10) -> float:
     """Integral of f(v)/v over [1, u] by quadrature split at powers of 2."""
-    if u < 1:
-        raise DomainError(f"needs u >= 1, got {u}")
+    if not 1 <= u < math.inf:
+        raise DomainError(f"needs finite u >= 1, got {u}")
     if u == 1:
         return 0.0
     res = integrate_adaptive(lambda v: sawtooth_f(v) / v, 1.0, float(u),
@@ -192,8 +192,8 @@ def sawtooth_log_integral_series(u: float, nu_max: int = 10_000) -> float:
     with the +-nu terms paired into cosines.  Truncation error is below
     (ln2 / (2 pi^2)) / nu_max.
     """
-    if u < 1:
-        raise DomainError(f"needs u >= 1, got {u}")
+    if not 1 <= u < math.inf:
+        raise DomainError(f"needs finite u >= 1, got {u}")
     if nu_max < 1:
         raise DomainError(f"needs nu_max >= 1, got {nu_max}")
     x = math.log2(u)

@@ -186,7 +186,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--check", action="store_true",
-                   help="also run the square-and-multiply oracle")
+                   help="also compare against builtin pow")
     p.set_defaults(func=_cmd_modexp)
 
     p = sub.add_parser("binary-cross-check",

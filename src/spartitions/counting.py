@@ -87,15 +87,15 @@ def count_s_partitions_table(n_max: int) -> CountTable:
     Runs in O(n_max log n_max) big-integer additions; n_max = 10^6 takes
     a couple of seconds.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    if isinstance(n_max, bool) or n_max < 0:
+        raise DomainError(f"n_max must be a nonnegative int, got {n_max!r}")
     return CountTable(n_max, _unbounded_dp(n_max, mersenne_parts_upto(n_max)))
 
 
 def count_binary_partitions_table(n_max: int) -> CountTable:
     """Exact table of b(0..n_max): partitions into parts 2^k, k >= 0."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    if isinstance(n_max, bool) or n_max < 0:
+        raise DomainError(f"n_max must be a nonnegative int, got {n_max!r}")
     return CountTable(n_max, _unbounded_dp(n_max, powers_of_two_upto(n_max)))
 
 

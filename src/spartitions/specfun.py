@@ -46,9 +46,12 @@ _B2K = (
 def gamma_complex(z) -> complex:
     """Gamma(z) for complex z with |Im z| <= 200.
 
-    Poles (z a nonpositive real integer) and out-of-band arguments raise.
+    Poles (z a nonpositive real integer), non-finite and out-of-band
+    arguments raise.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"gamma_complex needs a finite argument, got {z}")
     if abs(z.imag) > GAMMA_IM_BAND:
         raise DomainError(
             f"gamma_complex supports |Im z| <= {GAMMA_IM_BAND:g}, got {z}"
@@ -89,6 +92,8 @@ def zeta_complex(s, n_terms: int | None = None,
     truncation (the doubled-parameter self-check).
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"zeta_complex needs a finite argument, got {s}")
     if s == 1.0:
         raise PoleError("zeta pole at s = 1")
     if s.real < ZETA_RE_MIN or abs(s.imag) > ZETA_IM_BAND:

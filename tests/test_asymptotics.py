@@ -189,6 +189,14 @@ def test_sawtooth_log_integral_series_matches_quadrature():
         assert abs(lhs - sawtooth_log_integral_series(u, 10_000)) <= 1e-5, u
 
 
+@pytest.mark.parametrize("fn", [sawtooth_f, remainder_R, sawtooth_log_integral,
+                                sawtooth_log_integral_series])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_sawtooth_family_rejects_non_finite(fn, x):
+    with pytest.raises(DomainError):
+        fn(x)
+
+
 def test_series_domain():
     with pytest.raises(DomainError):
         sawtooth_log_integral_series(0.5, 100)

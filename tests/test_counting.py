@@ -133,3 +133,11 @@ def test_negative_inputs_rejected():
         count_s_partitions_table(-1)
     with pytest.raises(DomainError):
         count_binary_partitions_table(-2)
+
+
+def test_bool_table_size_rejected():
+    # bool is an int subclass; True would otherwise build a table with n_max True
+    for build in (count_s_partitions_table, count_binary_partitions_table):
+        for flag in (True, False):
+            with pytest.raises(DomainError):
+                build(flag)

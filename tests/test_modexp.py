@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spartitions import (
     DomainError,
@@ -69,15 +71,37 @@ def test_pow_mersenne_domain():
 
 
 def test_modexp_operation_count():
-    # every part rebuilds its own chain: 2 (k - 1) per part, plus one
-    # multiply per part into the result
-    for n, total in ((0, 0), (1, 1), (12345, 75), (2 ** 64 - 1, 127),
-                     (10 ** 18, 1844)):
+    # one shared chain up to the largest exponent K: K - 1 squarings and
+    # K - 1 multiplies, plus one multiply per part into the result
+    for n, total in ((0, 0), (1, 1), (12345, 31), (2 ** 64 - 1, 127),
+                     (10 ** 18, 144)):
         ops = OpCount()
         modexp_spartition(7, n, 2 ** 61 - 1, ops)
         exponents = greedy_decompose(n).exponents
-        assert ops.total == 2 * sum(k - 1 for k in exponents) + len(exponents)
+        assert ops.total == 2 * (max(exponents, default=1) - 1) + len(exponents)
         assert ops.total == total, n
+
+
+def test_modexp_cost_is_linear_in_bits():
+    rng = random.Random(SEED)
+    sizes = list(range(1, 65)) + rng.sample(range(65, 4096), 60) + [4096]
+    for bits in sizes:
+        n = rng.randrange(1 << (bits - 1), 1 << bits)
+        ops = OpCount()
+        modexp_spartition(3, n, 2 ** 61 - 1, ops)
+        assert ops.total <= 3 * n.bit_length(), (bits, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(), n=st.integers(min_value=0), m=st.integers(min_value=1))
+def test_modexp_matches_pow_property(a, n, m):
+    assert modexp_spartition(a, n, m) == pow(a, n, m)
+    part = greedy_decompose(n)
+    exps = part.exponents
+    assert part.is_valid()
+    assert len(exps) <= (n + 1).bit_length()
+    assert all(x > y for x, y in zip(exps, exps[1:-1]))
+    assert list(exps) == sorted(exps, reverse=True)
 
 
 def test_modexp_examples():
@@ -114,3 +138,14 @@ def test_modexp_domain():
         modexp_spartition(2, -1, 5)
     with pytest.raises(DomainError):
         modexp_reference(2, 3, 0)
+    with pytest.raises(DomainError):
+        modexp_reference(2, -1, 5)
+
+
+def test_bool_exponent_rejected():
+    # bool is an int subclass, so True and False pass an n >= 0 check
+    for flag in (True, False):
+        with pytest.raises(DomainError):
+            greedy_decompose(flag)
+        with pytest.raises(DomainError):
+            modexp_spartition(3, flag, 7)

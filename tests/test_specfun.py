@@ -113,6 +113,15 @@ def test_zeta_pole_and_band():
         zeta_complex(complex(1.0, 2e5))
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.nan),
+                               complex(math.inf, 0.0), complex(2.0, -math.inf)])
+def test_non_finite_arguments_rejected(z):
+    with pytest.raises(DomainError):
+        gamma_complex(z)
+    with pytest.raises(DomainError):
+        zeta_complex(z)
+
+
 def test_modulus_identity_domain():
     with pytest.raises(DomainError):
         gamma_imag_axis_modulus(0.0)

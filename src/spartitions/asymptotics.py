@@ -26,9 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import specfun
 from .errors import AccuracyError, DomainError
 from .quadrature import integrate_adaptive
-from .specfun import GAMMA_IM_BAND, gamma_complex, zeta_complex
+from .specfun import GAMMA_IM_BAND
 
 __all__ = [
     "AsymptoticParams",
@@ -53,6 +54,30 @@ __all__ = [
 LN2 = math.log(2.0)
 A = 1.0 / LN2  # the coefficient a of ln u in N(u), shared by both families
 _MIN_TOL = 1e-10
+# distinct tols whose constants stay cached; an unbounded cache grows with
+# every new tol a long-running caller passes
+_TOL_CACHE = 32
+# W's frequencies t_nu = 2 pi nu / ln2 inside the Gamma band: nu = 1..22
+_W_FREQS = int(GAMMA_IM_BAND * LN2 / (2.0 * math.pi))
+
+# W evaluates Gamma and zeta at the same few frequencies on every call, so
+# the names it calls them through remember one value per frequency; the
+# specfun functions themselves stay unmemoized
+gamma_complex = lru_cache(maxsize=_W_FREQS)(specfun.gamma_complex)
+zeta_complex = lru_cache(maxsize=_W_FREQS)(specfun.zeta_complex)
+
+
+def _check_float_x(x, name: str) -> None:
+    """DomainError unless 1 <= x and x converts to a finite float; an
+    exact int passes 1 <= x < inf even past the float range."""
+    if not 1 <= x < math.inf:
+        raise DomainError(f"{name} needs finite x >= 1, got {x}")
+    try:
+        if float(x) < math.inf:
+            return
+    except OverflowError:
+        pass
+    raise DomainError(f"{name} needs x within the float range")
 
 
 def sawtooth_f(x) -> float:
@@ -61,8 +86,7 @@ def sawtooth_f(x) -> float:
     The floor is taken from the binary exponent (frexp), never from a
     rounded logarithm, so f(2^k) = +1/2 exactly.
     """
-    if not 1 <= x < math.inf:
-        raise DomainError(f"sawtooth_f needs finite x >= 1, got {x}")
+    _check_float_x(x, "sawtooth_f")
     _, exponent = math.frexp(x)
     return (exponent - 1) - math.log2(x) + 0.5
 
@@ -73,8 +97,7 @@ def remainder_R(u) -> float:
     R(u) = ln(1 + 1/u)/ln 2 + f(u + 1); it reconstructs
     floor(log2(u+1)) = ln u/ln2 - 1/2 + R(u) exactly.
     """
-    if not 1 <= u < math.inf:
-        raise DomainError(f"remainder_R needs finite u >= 1, got {u}")
+    _check_float_x(u, "remainder_R")
     return math.log1p(1.0 / u) / LN2 + sawtooth_f(u + 1)
 
 
@@ -90,8 +113,7 @@ def _dyadic_breakpoints(lo: float, hi: float) -> list:
 
 def sawtooth_log_integral(u: float, tol: float = 1e-10) -> float:
     """Integral of f(v)/v over [1, u] by quadrature split at powers of 2."""
-    if not 1 <= u < math.inf:
-        raise DomainError(f"needs finite u >= 1, got {u}")
+    _check_float_x(u, "sawtooth_log_integral")
     if u == 1:
         return 0.0
     res = integrate_adaptive(lambda v: sawtooth_f(v) / v, 1.0, float(u),
@@ -99,7 +121,7 @@ def sawtooth_log_integral(u: float, tol: float = 1e-10) -> float:
     return res.value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TOL_CACHE)
 def alpha_constant(tol: float = 1e-8) -> float:
     """The dyadic sawtooth integral of f(v)/(v(v-1)) from 2 to infinity.
 
@@ -148,7 +170,7 @@ def _tail_kernel(v: float) -> float:
     return -math.log(-math.expm1(-v) / v) / math.expm1(v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TOL_CACHE)
 def tail_integral_I(tol: float = 1e-8) -> float:
     """Integral of (ln v - ln(1-e^-v))/(e^v - 1) over (0, infinity).
 

@@ -86,8 +86,8 @@ def pow_mersenne_part(a: int, k: int, m: int, ops: OpCount | None = None) -> int
     """a^(2^k - 1) mod m via k-1 rounds of square-then-multiply-by-a."""
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
-    if k < 1:
-        raise DomainError(f"exponent index must be >= 1, got {k}")
+    if isinstance(k, bool) or k < 1:
+        raise DomainError(f"exponent index must be an int >= 1, got {k!r}")
     a = a % m
     return _climb(a, a, k - 1, m, ops)
 

@@ -43,15 +43,25 @@ _B2K = (
 )
 
 
+def _finite_complex(z, name: str) -> complex:
+    """z as a finite complex; DomainError for NaN/inf parts and for an int
+    too large for a float."""
+    try:
+        z = complex(z)
+    except OverflowError:
+        raise DomainError(f"{name} needs an argument within the float range") from None
+    if not cmath.isfinite(z):
+        raise DomainError(f"{name} needs a finite argument, got {z}")
+    return z
+
+
 def gamma_complex(z) -> complex:
     """Gamma(z) for complex z with |Im z| <= 200.
 
     Poles (z a nonpositive real integer), non-finite and out-of-band
     arguments raise.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"gamma_complex needs a finite argument, got {z}")
+    z = _finite_complex(z, "gamma_complex")
     if abs(z.imag) > GAMMA_IM_BAND:
         raise DomainError(
             f"gamma_complex supports |Im z| <= {GAMMA_IM_BAND:g}, got {z}"
@@ -91,9 +101,7 @@ def zeta_complex(s, n_terms: int | None = None,
     the band; pass n_terms/n_bernoulli explicitly to rerun at different
     truncation (the doubled-parameter self-check).
     """
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"zeta_complex needs a finite argument, got {s}")
+    s = _finite_complex(s, "zeta_complex")
     if s == 1.0:
         raise PoleError("zeta pole at s = 1")
     if s.real < ZETA_RE_MIN or abs(s.imag) > ZETA_IM_BAND:

@@ -23,6 +23,7 @@ from spartitions import (
     w_oscillation,
     w_oscillation_complex,
 )
+from spartitions import asymptotics, specfun
 from spartitions.asymptotics import _alpha_slice, _tail_kernel
 
 LN2 = math.log(2.0)
@@ -195,6 +196,11 @@ def test_sawtooth_log_integral_series_matches_quadrature():
 def test_sawtooth_family_rejects_non_finite(fn, x):
     with pytest.raises(DomainError):
         fn(x)
+    if fn is not sawtooth_log_integral_series:
+        # an exact int passes 1 <= x < inf yet lies past the float range;
+        # the series takes log2 of the int and stays in its domain
+        with pytest.raises(DomainError):
+            fn(10 ** 400)
 
 
 def test_series_domain():
@@ -265,6 +271,56 @@ def test_w_real_and_periodic():
 def test_w_frozen_values():
     assert abs(w_oscillation(0.0) - W0_REF) <= 1e-15
     assert abs(w_oscillation(0.2) - W02_REF) <= 1e-15
+
+
+def w_unmemoized(z, nu_max):
+    # W term by term in W's own order, from specfun's unmemoized functions
+    total = 0.0 + 0.0j
+    for nu in range(1, nu_max + 1):
+        t = 2.0 * math.pi * nu / LN2
+        if t > specfun.GAMMA_IM_BAND:
+            break
+        factor = -(t * t) * specfun.gamma_complex(1j * t) * specfun.zeta_complex(1.0 + 1j * t)
+        term = factor * dyadic_fourier_coefficient(nu) * complex(math.cos(t * z), math.sin(t * z))
+        total += term + term.conjugate()
+    return total
+
+
+def test_w_memo_is_bit_identical():
+    assert not hasattr(specfun.gamma_complex, "cache_info")
+    assert not hasattr(specfun.zeta_complex, "cache_info")
+    for z in (0.0, 0.1, 0.2, 0.3, 1.0, -2.5, 17.5, 123.456, 1e4):
+        for nu_max in range(1, 41):
+            assert w_oscillation_complex(z, nu_max) == w_unmemoized(z, nu_max), (z, nu_max)
+
+
+def test_w_memo_holds_every_frequency():
+    # nu = 1..22 are the frequencies inside the Gamma band, one entry each
+    freqs = asymptotics._W_FREQS
+    assert freqs == 22
+    assert 2.0 * math.pi * freqs / LN2 <= specfun.GAMMA_IM_BAND < 2.0 * math.pi * (freqs + 1) / LN2
+    w_oscillation_complex(0.0, freqs)
+    before = [fn.cache_info() for fn in (asymptotics.gamma_complex, asymptotics.zeta_complex)]
+    for nu_max in (1, 5, 16, 22, 23, 40):
+        for z in (0.1, 3.0, -7.25):
+            w_oscillation_complex(z, nu_max)
+    after = [fn.cache_info() for fn in (asymptotics.gamma_complex, asymptotics.zeta_complex)]
+    for b, a in zip(before, after):
+        assert b.currsize == a.currsize == a.maxsize == freqs
+        assert a.misses == b.misses
+        assert a.hits > b.hits
+
+
+def test_constant_caches_are_bounded():
+    tols = [1e-6 * (1.0 + i * 2.0 ** -20) for i in range(200)]
+    for tol in tols:
+        alpha_constant(tol)
+        tail_integral_I(tol)
+    for fn in (alpha_constant, tail_integral_I):
+        info = fn.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        fn(tols[-1])  # the latest tol is still cached
+        assert fn.cache_info().hits == info.hits + 1
 
 
 def test_w_magnitude_bound():

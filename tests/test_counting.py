@@ -1,6 +1,9 @@
 import math
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spartitions import (
     DomainError,
@@ -12,6 +15,7 @@ from spartitions import (
     mersenne_parts_upto,
     powers_of_two_upto,
 )
+from spartitions.counting import BRUTE_FORCE_LIMIT
 
 
 def test_mersenne_parts_examples():
@@ -50,6 +54,15 @@ def test_brute_force_rejects_oracle_misuse():
 def test_dp_matches_brute_force_to_120(table500):
     for n in range(121):
         assert table500[n] == brute_force_count(n), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(min_value=0, max_value=BRUTE_FORCE_LIMIT))
+def test_dp_matches_brute_force_property(table500, n):
+    # table500 is session-scoped, so hypothesis may share it across examples
+    expected = brute_force_count(n)
+    assert table500[n] == expected
+    assert count_s_partitions_table(n)[n] == expected
 
 
 def test_counts_nondecreasing(table500):
@@ -119,6 +132,15 @@ def test_ln_count_small():
 def test_ln_count_huge():
     value = 3 ** 2000
     assert abs(ln_count(value) - 2000 * math.log(3)) < 1e-10 * 2000
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.integers(min_value=2, max_value=20_000).flatmap(
+    lambda bits: st.integers(min_value=max(2, 1 << (bits - 1)), max_value=(1 << bits) - 1)))
+def test_ln_count_matches_mpmath_property(v):
+    with mpmath.workdps(40):
+        ref = mpmath.log(mpmath.mpf(v))
+        assert abs(mpmath.mpf(ln_count(v)) - ref) <= 1e-15 * ref
 
 
 def test_ln_count_domain():

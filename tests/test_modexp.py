@@ -149,3 +149,5 @@ def test_bool_exponent_rejected():
             greedy_decompose(flag)
         with pytest.raises(DomainError):
             modexp_spartition(3, flag, 7)
+        with pytest.raises(DomainError):
+            pow_mersenne_part(3, flag, 7)

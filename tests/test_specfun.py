@@ -114,7 +114,8 @@ def test_zeta_pole_and_band():
 
 
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.nan),
-                               complex(math.inf, 0.0), complex(2.0, -math.inf)])
+                               complex(math.inf, 0.0), complex(2.0, -math.inf),
+                               pytest.param(10 ** 400, id="10**400")])
 def test_non_finite_arguments_rejected(z):
     with pytest.raises(DomainError):
         gamma_complex(z)

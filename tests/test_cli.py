@@ -70,6 +70,14 @@ def test_w_eval(capsys):
     assert all(abs(r["w"]) < 1e-4 for r in recs)
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_w_eval_rejects_non_positive_points(capsys, points):
+    assert run(["w-eval", "--points", points]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--points must be >= 1" in captured.err
+
+
 def test_bhatt_audit_stream_and_summary(capsys):
     code, recs = run_json(capsys, ["bhatt-audit", "--max-n", "20"])
     assert code == 0

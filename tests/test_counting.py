@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import mpmath
 import pytest
@@ -16,6 +18,38 @@ from spartitions import (
     powers_of_two_upto,
 )
 from spartitions.counting import BRUTE_FORCE_LIMIT
+
+# (builder, offset): the family's parts are 2^k - offset <= n_max, k >= offset
+FAMILIES = ((count_s_partitions_table, 1), (count_binary_partitions_table, 0))
+
+# sha256 of the length-prefixed little-endian encoding (_digest) of each
+# table 0..2*10^4, pinned from the scalar-loop builder
+DIGEST_N = 20_000
+S_DIGEST = "c2451afb8c2e09c8d7f0279d7f80d95599d1388ff4264ba895738a6f7d95325f"
+B_DIGEST = "3344dd36b27230ff0d2c0b8e33c25abfb8e0007a43fa5b996d5346721e511d51"
+
+
+def _family_parts(n_max, offset):
+    return [(1 << k) - offset for k in range(offset, n_max.bit_length() + 1)
+            if (1 << k) - offset <= n_max]
+
+
+def _loop_dp(n_max, parts):
+    # the scalar builder the numpy one replaced, kept as its oracle
+    counts = [0] * (n_max + 1)
+    counts[0] = 1
+    for p in parts:
+        for i in range(p, n_max + 1):
+            counts[i] += counts[i - p]
+    return counts
+
+
+def _digest(counts):
+    h = hashlib.sha256()
+    for c in counts:
+        raw = c.to_bytes((c.bit_length() + 8) // 8, "little")
+        h.update(len(raw).to_bytes(2, "little") + raw)
+    return h.hexdigest()
 
 
 def test_mersenne_parts_examples():
@@ -36,6 +70,35 @@ def test_table_small_values(table500):
     assert table500[7] == 4
     assert table500[10] == 6
     assert table500.counts[:11] == [1, 1, 1, 2, 2, 2, 3, 4, 4, 5, 6]
+
+
+@pytest.mark.parametrize("build, offset", FAMILIES)
+def test_table_matches_loop_oracle_to_300(build, offset):
+    for n_max in range(301):
+        assert build(n_max).counts == _loop_dp(n_max, _family_parts(n_max, offset)), n_max
+
+
+@pytest.mark.parametrize("build, offset", FAMILIES)
+def test_table_matches_loop_oracle_at_row_edges(build, offset):
+    # n_max + 1 a multiple of every part, of some, or of none: the row
+    # layout's short last row is then empty or not, part by part
+    sizes = [(1 << k) + d for k in range(2, 13) for d in (-2, -1, 0)]
+    sizes += random.Random(7).sample(range(301, 5001), 12)
+    for n_max in sizes:
+        assert build(n_max).counts == _loop_dp(n_max, _family_parts(n_max, offset)), n_max
+
+
+@pytest.mark.parametrize("build, offset", FAMILIES)
+def test_table_entries_are_python_ints(build, offset):
+    table = build(5000)
+    assert type(table.counts) is list
+    assert all(type(c) is int for c in table.counts)
+
+
+@pytest.mark.parametrize("build, expected", [(count_s_partitions_table, S_DIGEST),
+                                             (count_binary_partitions_table, B_DIGEST)])
+def test_table_digest_pinned(build, expected):
+    assert _digest(build(DIGEST_N).counts) == expected
 
 
 def test_brute_force_examples():
@@ -149,17 +212,31 @@ def test_ln_count_domain():
 
 
 def test_negative_inputs_rejected():
-    with pytest.raises(DomainError):
-        mersenne_parts_upto(-1)
-    with pytest.raises(DomainError):
-        count_s_partitions_table(-1)
-    with pytest.raises(DomainError):
-        count_binary_partitions_table(-2)
+    # and non-int sizes, which would otherwise fail inside bit_length or
+    # np.zeros, or (7.5) pass the range test and give an answer
+    for call, arg in [
+        (mersenne_parts_upto, -1),
+        (count_s_partitions_table, -1),
+        (count_binary_partitions_table, -2),
+        (powers_of_two_upto, -1),
+        (count_s_partitions_table, 10.0),
+        (count_binary_partitions_table, 10.0),
+        (mersenne_parts_upto, 7.5),
+        (powers_of_two_upto, 8.0),
+        (brute_force_count, 3.0),
+        (cumulative_P, 3.0),
+        (ln_count, 2.5),
+        (ln_count, 4.0),
+    ]:
+        with pytest.raises(DomainError):
+            call(arg)
 
 
 def test_bool_table_size_rejected():
     # bool is an int subclass; True would otherwise build a table with n_max True
-    for build in (count_s_partitions_table, count_binary_partitions_table):
+    for build in (count_s_partitions_table, count_binary_partitions_table,
+                  mersenne_parts_upto, powers_of_two_upto, brute_force_count,
+                  cumulative_P, ln_count):
         for flag in (True, False):
             with pytest.raises(DomainError):
                 build(flag)

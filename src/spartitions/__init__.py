@@ -9,11 +9,8 @@ from .asymptotics import (
     alpha_constant,
     binary_partition_params,
     c_constant,
-    dyadic_fourier_coefficient,
     ln_Ph_estimate,
     ln_ps_estimate,
-    mersenne_params,
-    remainder_R,
     sawtooth_f,
     sawtooth_log_integral,
     sawtooth_log_integral_series,
@@ -30,7 +27,6 @@ from .counting import (
     cumulative_P,
     ln_count,
     mersenne_parts_upto,
-    powers_of_two_upto,
 )
 from .errors import AccuracyError, DomainError, PoleError
 from .modexp import (

@@ -29,23 +29,20 @@ import numpy as np
 from . import specfun
 from .errors import AccuracyError, DomainError
 from .quadrature import integrate_adaptive
-from .specfun import GAMMA_IM_BAND
+from .specfun import IM_BAND
 
 __all__ = [
     "AsymptoticParams",
     "AsymptoticBreakdown",
     "sawtooth_f",
-    "remainder_R",
     "sawtooth_log_integral",
     "alpha_constant",
     "c_constant",
     "tail_integral_I",
     "H_constant",
     "sawtooth_log_integral_series",
-    "dyadic_fourier_coefficient",
     "w_oscillation",
     "w_oscillation_complex",
-    "mersenne_params",
     "binary_partition_params",
     "ln_Ph_estimate",
     "ln_ps_estimate",
@@ -57,8 +54,8 @@ _MIN_TOL = 1e-10
 # distinct tols whose constants stay cached; an unbounded cache grows with
 # every new tol a long-running caller passes
 _TOL_CACHE = 32
-# W's frequencies t_nu = 2 pi nu / ln2 inside the Gamma band: nu = 1..22
-_W_FREQS = int(GAMMA_IM_BAND * LN2 / (2.0 * math.pi))
+# W's frequencies t_nu = 2 pi nu / ln2 inside the specfun band: nu = 1..22
+_W_FREQS = int(IM_BAND * LN2 / (2.0 * math.pi))
 
 # W evaluates Gamma and zeta at the same few frequencies on every call, so
 # the names it calls them through remember one value per frequency; the
@@ -91,7 +88,7 @@ def sawtooth_f(x) -> float:
     return (exponent - 1) - math.log2(x) + 0.5
 
 
-def remainder_R(u) -> float:
+def _remainder_R(u) -> float:
     """Remainder of the part-counting function after a ln u + b.
 
     R(u) = ln(1 + 1/u)/ln 2 + f(u + 1); it reconstructs
@@ -200,13 +197,6 @@ def H_constant(tol: float = 1e-8) -> float:
     return c_constant(tol) + tail_integral_I(tol) / LN2
 
 
-def dyadic_fourier_coefficient(nu: int) -> float:
-    """Fourier coefficient -ln2/(4 pi^2 nu^2) of the dyadic sawtooth mean."""
-    if nu == 0:
-        return 0.0
-    return -LN2 / (4.0 * math.pi ** 2 * nu * nu)
-
-
 def sawtooth_log_integral_series(u: float, nu_max: int = 10_000) -> float:
     """Fourier form of the integral of f(v)/v over [1, u].
 
@@ -236,11 +226,6 @@ class AsymptoticParams:
     c: float
 
 
-def mersenne_params(tol: float = 1e-8) -> AsymptoticParams:
-    """Parameters of the Mersenne-part family 1, 3, 7, 15, ..."""
-    return AsymptoticParams(b=-0.5, c=c_constant(tol))
-
-
 def binary_partition_params(tol: float = 1e-8) -> AsymptoticParams:
     """Parameters of the power-of-two family 1, 2, 4, 8, ...
 
@@ -255,9 +240,10 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     """Paired complex sum of the oscillation before taking the real part.
 
     - sum over 0 < |nu| <= nu_max of (2 pi nu / ln2)^2 Gamma(2 pi i nu/ln2)
-    zeta(1 + 2 pi i nu/ln2) c_nu e^{2 pi i nu z / ln2}.  The -nu term is
-    the conjugate of the +nu term, so the imaginary part is exactly 0.
-    Frequencies beyond the Gamma band are dropped: |Gamma(it)| < 1e-130
+    zeta(1 + 2 pi i nu/ln2) c_nu e^{2 pi i nu z / ln2}, with the dyadic
+    Fourier coefficients c_nu = -ln2/(4 pi^2 nu^2).  The -nu term is the
+    conjugate of the +nu term, so the imaginary part is exactly 0.
+    Frequencies beyond the specfun band are dropped: |Gamma(it)| < 1e-130
     there, far below double noise.
     """
     if nu_max < 1:
@@ -267,10 +253,11 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     total = 0.0 + 0.0j
     for nu in range(1, nu_max + 1):
         t = 2.0 * math.pi * nu / LN2
-        if t > GAMMA_IM_BAND:
+        if t > IM_BAND:
             break
         factor = -(t * t) * gamma_complex(1j * t) * zeta_complex(1.0 + 1j * t)
-        term = factor * dyadic_fourier_coefficient(nu) * complex(math.cos(t * z), math.sin(t * z))
+        c_nu = -LN2 / (4.0 * math.pi ** 2 * nu * nu)
+        term = factor * c_nu * complex(math.cos(t * z), math.sin(t * z))
         total += term + term.conjugate()
     return total
 
@@ -324,8 +311,8 @@ def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = 1e-8,
 
 
 def ln_ps_estimate(n: int, tol: float = 1e-8, nu_max: int = 16) -> AsymptoticBreakdown:
-    """Estimate of ln p_s(n) (Mersenne parts), n >= 2: ln_Ph_estimate
-    at u = n + 1.
+    """Estimate of ln p_s(n) (Mersenne parts, b = -1/2), n >= 2:
+    ln_Ph_estimate at u = n + 1.
 
     The oscillation argument is ln u - lnln u - ln a = ln(n+1)
     - lnln(n+1) + lnln2, the same combination that is squared in the
@@ -333,4 +320,5 @@ def ln_ps_estimate(n: int, tol: float = 1e-8, nu_max: int = 16) -> AsymptoticBre
     """
     if n < 2:
         raise DomainError(f"estimate needs n >= 2, got {n}")
-    return ln_Ph_estimate(n + 1, mersenne_params(tol), tol, nu_max)
+    params = AsymptoticParams(b=-0.5, c=c_constant(tol))
+    return ln_Ph_estimate(n + 1, params, tol, nu_max)

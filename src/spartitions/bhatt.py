@@ -56,8 +56,9 @@ class AuditSummary:
 
 def bhatt_bound(n: int) -> int:
     """Exact value of the claimed upper bound at n >= 1."""
-    if n < 1:
-        raise DomainError(f"bound needs n >= 1, got {n}")
+    # _check_int inlined: audit_scan calls this once per n
+    if type(n) is not int or n < 1:
+        raise DomainError(f"bound needs an int n >= 1, got {n!r}")
     total = 2 + n // 3
     for i in range(n.bit_length()):  # i = 0 .. floor(log2 n)
         x = n - 3 * i

@@ -11,12 +11,11 @@ from math import log
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_int
 
 __all__ = [
     "CountTable",
     "mersenne_parts_upto",
-    "powers_of_two_upto",
     "count_s_partitions_table",
     "count_binary_partitions_table",
     "brute_force_count",
@@ -35,29 +34,24 @@ class CountTable:
     counts: list  # counts[n] = number of partitions of n
 
     def __getitem__(self, n: int) -> int:
-        if not 0 <= n <= self.n_max:
-            raise DomainError(f"table holds 0 <= n <= {self.n_max}, got {n}")
+        # type, not isinstance: a bool would index counts[0] or counts[1]
+        if type(n) is not int or not 0 <= n <= self.n_max:
+            raise DomainError(f"table holds an int 0 <= n <= {self.n_max}, got {n!r}")
         return self.counts[n]
 
     def ln(self, n: int) -> float:
         """Natural log of counts[n], accurate to >= 12 significant digits."""
         # checked here, not through self[n]: table scans call ln per n
-        if not 0 <= n <= self.n_max:
-            raise DomainError(f"table holds 0 <= n <= {self.n_max}, got {n}")
+        if type(n) is not int or not 0 <= n <= self.n_max:
+            raise DomainError(f"table holds an int 0 <= n <= {self.n_max}, got {n!r}")
         return ln_count(self.counts[n])
 
     def cumulative(self, u: int) -> int:
         """Sum of counts[0..u-1]; the solution counter P(u) at integer u."""
-        if not 1 <= u <= self.n_max + 1:
-            raise DomainError(f"cumulative needs 1 <= u <= {self.n_max + 1}, got {u}")
+        if type(u) is not int or not 1 <= u <= self.n_max + 1:
+            raise DomainError(f"cumulative needs an int 1 <= u <= {self.n_max + 1}, "
+                              f"got {u!r}")
         return sum(self.counts[: u])
-
-
-def _check_int(name: str, value, low: int) -> None:
-    # type, not isinstance: bool is an int subclass, and a float would
-    # pass the range test and fail later in bit_length or np.zeros
-    if type(value) is not int or value < low:
-        raise DomainError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 def mersenne_parts_upto(n: int) -> list:
@@ -71,9 +65,9 @@ def mersenne_parts_upto(n: int) -> list:
     return parts
 
 
-def powers_of_two_upto(n: int) -> list:
-    """All parts 2^k <= n with k >= 0, in ascending order."""
-    _check_int("n", n, 0)
+def _powers_of_two_upto(n: int) -> list:
+    """All parts 2^k <= n with k >= 0, in ascending order; n is a checked
+    int >= 0."""
     return [1 << k for k in range(n.bit_length())] if n >= 1 else []
 
 
@@ -108,7 +102,7 @@ def count_s_partitions_table(n_max: int) -> CountTable:
 def count_binary_partitions_table(n_max: int) -> CountTable:
     """Exact table of b(0..n_max): partitions into parts 2^k, k >= 0."""
     _check_int("n_max", n_max, 0)
-    return CountTable(n_max, _unbounded_dp(n_max, powers_of_two_upto(n_max)))
+    return CountTable(n_max, _unbounded_dp(n_max, _powers_of_two_upto(n_max)))
 
 
 def brute_force_count(n: int) -> int:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument
+check that raises one."""
 
 
 class DomainError(ValueError):
@@ -18,3 +19,12 @@ class AccuracyError(ArithmeticError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """DomainError unless value is an int, not a bool, and >= low if given."""
+    # type, not isinstance: bool is an int subclass, and a float would
+    # pass the range test and fail later in bit_length or np.zeros
+    if type(value) is not int or low is not None and value < low:
+        floor = "" if low is None else f" >= {low}"
+        raise DomainError(f"{name} must be an int{floor}, got {value!r}")

@@ -13,7 +13,7 @@ took 1844.
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import _check_int
 
 __all__ = [
     "SPartition",
@@ -60,8 +60,7 @@ def greedy_decompose(n: int) -> SPartition:
     The exponents come out strictly decreasing except for at most one
     terminal repeat, so at most floor(log2(n+1)) + 1 parts are produced.
     """
-    if isinstance(n, bool) or n < 0:
-        raise DomainError(f"n must be a nonnegative int, got {n!r}")
+    _check_int("n", n, 0)
     exponents = []
     remainder = n
     while remainder > 0:
@@ -84,10 +83,9 @@ def _climb(x: int, a: int, steps: int, m: int, ops: OpCount | None) -> int:
 
 def pow_mersenne_part(a: int, k: int, m: int, ops: OpCount | None = None) -> int:
     """a^(2^k - 1) mod m via k-1 rounds of square-then-multiply-by-a."""
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
-    if isinstance(k, bool) or k < 1:
-        raise DomainError(f"exponent index must be an int >= 1, got {k!r}")
+    _check_int("modulus", m, 1)
+    _check_int("exponent index", k, 1)
+    _check_int("base", a)
     a = a % m
     return _climb(a, a, k - 1, m, ops)
 
@@ -98,10 +96,9 @@ def modexp_spartition(a: int, n: int, m: int, ops: OpCount | None = None) -> int
     One chain serves every part: the exponents are taken in increasing
     order, so each part extends the chain from the previous one.
     """
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
-    if isinstance(n, bool) or n < 0:
-        raise DomainError(f"exponent must be a nonnegative int, got {n!r}")
+    _check_int("modulus", m, 1)
+    _check_int("exponent", n, 0)
+    _check_int("base", a)
     a = a % m
     result = 1 % m
     x, k = a, 1  # x = a^(2^k - 1) mod m
@@ -116,8 +113,7 @@ def modexp_spartition(a: int, n: int, m: int, ops: OpCount | None = None) -> int
 
 def modexp_reference(a: int, n: int, m: int) -> int:
     """a^n mod m by builtin pow; the independent oracle."""
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
-    if n < 0:
-        raise DomainError(f"exponent must be nonnegative, got {n}")
+    _check_int("modulus", m, 1)
+    _check_int("exponent", n, 0)
+    _check_int("base", a)
     return pow(a, n, m)

@@ -4,17 +4,15 @@ import mpmath
 import pytest
 
 from spartitions import (
+    AsymptoticParams,
     DomainError,
     H_constant,
     alpha_constant,
     binary_partition_params,
     c_constant,
     count_s_partitions_table,
-    dyadic_fourier_coefficient,
     sawtooth_log_integral_series,
     integrate_adaptive,
-    mersenne_params,
-    remainder_R,
     sawtooth_f,
     sawtooth_log_integral,
     tail_integral_I,
@@ -24,7 +22,7 @@ from spartitions import (
     w_oscillation_complex,
 )
 from spartitions import asymptotics, specfun
-from spartitions.asymptotics import _alpha_slice, _tail_kernel
+from spartitions.asymptotics import _alpha_slice, _remainder_R, _tail_kernel
 
 LN2 = math.log(2.0)
 
@@ -35,6 +33,15 @@ TAIL_REF = 0.72869391700393060594
 # oscillation values, 50 digits via mpmath with the eta-safe zeta route
 W0_REF = -1.5117301578196709e-06
 W02_REF = 1.8129290675484489e-06
+
+
+def fourier_coefficient(nu):
+    # c_nu of the dyadic sawtooth mean, as W writes it
+    return -LN2 / (4.0 * math.pi ** 2 * nu * nu)
+
+
+def mersenne_params(tol):
+    return AsymptoticParams(b=-0.5, c=c_constant(tol))
 
 
 def closed_sawtooth_integral(u):
@@ -73,18 +80,18 @@ def test_sawtooth_bounds_and_domain():
 
 
 def test_remainder_values():
-    assert abs(remainder_R(1) - 1.5) <= 1e-15
+    assert abs(_remainder_R(1) - 1.5) <= 1e-15
     expected = math.log(4.0 / 3.0) / LN2 + 0.5
-    assert abs(remainder_R(3) - expected) <= 1e-15
+    assert abs(_remainder_R(3) - expected) <= 1e-15
     with pytest.raises(DomainError):
-        remainder_R(0.5)
+        _remainder_R(0.5)
 
 
 def test_counting_identity_reconstruction():
     # floor(log2(u+1)) = ln u/ln2 - 1/2 + R(u), floor from bit_length
     for u in list(range(1, 2000)) + [5000, 9999, 10000]:
         lhs = (u + 1).bit_length() - 1
-        rhs = math.log(u) / LN2 - 0.5 + remainder_R(u)
+        rhs = math.log(u) / LN2 - 0.5 + _remainder_R(u)
         assert abs(lhs - rhs) <= 1e-10, u
 
 
@@ -190,8 +197,8 @@ def test_sawtooth_log_integral_series_matches_quadrature():
         assert abs(lhs - sawtooth_log_integral_series(u, 10_000)) <= 1e-5, u
 
 
-@pytest.mark.parametrize("fn", [sawtooth_f, remainder_R, sawtooth_log_integral,
-                                sawtooth_log_integral_series])
+@pytest.mark.parametrize("fn", [sawtooth_f, pytest.param(_remainder_R, id="remainder_R"),
+                                sawtooth_log_integral, sawtooth_log_integral_series])
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_sawtooth_family_rejects_non_finite(fn, x):
     with pytest.raises(DomainError):
@@ -248,7 +255,7 @@ def test_remainder_integral_decomposition():
             lambda v: sawtooth_f(v + 1.0) / v, 1.0, u, tol=1e-10,
             breakpoints=shifted_dyadics).value
         combined = integrate_adaptive(
-            lambda v: remainder_R(v) / v, 1.0, u, tol=1e-10,
+            lambda v: _remainder_R(v) / v, 1.0, u, tol=1e-10,
             breakpoints=shifted_dyadics).value
         assert abs(first + second - combined) <= 1e-8, u
 
@@ -257,7 +264,7 @@ def test_w_prefactor_simplification():
     # (2 pi nu / ln2)^2 * |c_nu| = 1/ln2 for the built-in family
     for nu in range(1, 17):
         t = 2.0 * math.pi * nu / LN2
-        product = t * t * abs(dyadic_fourier_coefficient(nu))
+        product = t * t * abs(fourier_coefficient(nu))
         assert abs(product - 1.0 / LN2) <= 1e-14 / LN2
 
 
@@ -278,10 +285,10 @@ def w_unmemoized(z, nu_max):
     total = 0.0 + 0.0j
     for nu in range(1, nu_max + 1):
         t = 2.0 * math.pi * nu / LN2
-        if t > specfun.GAMMA_IM_BAND:
+        if t > specfun.IM_BAND:
             break
         factor = -(t * t) * specfun.gamma_complex(1j * t) * specfun.zeta_complex(1.0 + 1j * t)
-        term = factor * dyadic_fourier_coefficient(nu) * complex(math.cos(t * z), math.sin(t * z))
+        term = factor * fourier_coefficient(nu) * complex(math.cos(t * z), math.sin(t * z))
         total += term + term.conjugate()
     return total
 
@@ -295,10 +302,10 @@ def test_w_memo_is_bit_identical():
 
 
 def test_w_memo_holds_every_frequency():
-    # nu = 1..22 are the frequencies inside the Gamma band, one entry each
+    # nu = 1..22 are the frequencies inside the specfun band, one entry each
     freqs = asymptotics._W_FREQS
     assert freqs == 22
-    assert 2.0 * math.pi * freqs / LN2 <= specfun.GAMMA_IM_BAND < 2.0 * math.pi * (freqs + 1) / LN2
+    assert 2.0 * math.pi * freqs / LN2 <= specfun.IM_BAND < 2.0 * math.pi * (freqs + 1) / LN2
     w_oscillation_complex(0.0, freqs)
     before = [fn.cache_info() for fn in (asymptotics.gamma_complex, asymptotics.zeta_complex)]
     for nu_max in (1, 5, 16, 22, 23, 40):

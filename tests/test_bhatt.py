@@ -39,8 +39,10 @@ def test_bound_beyond_64_bits():
 
 
 def test_bound_domain():
-    with pytest.raises(DomainError):
-        bhatt_bound(0)
+    # bool is an int subclass: True would give bhatt_bound(1) = 2
+    for n in (0, -1, 2.5, 8.0, True, False):
+        with pytest.raises(DomainError):
+            bhatt_bound(n)
 
 
 def test_bound_monotone():

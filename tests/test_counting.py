@@ -15,9 +15,8 @@ from spartitions import (
     cumulative_P,
     ln_count,
     mersenne_parts_upto,
-    powers_of_two_upto,
 )
-from spartitions.counting import BRUTE_FORCE_LIMIT
+from spartitions.counting import BRUTE_FORCE_LIMIT, _powers_of_two_upto
 
 # (builder, offset): the family's parts are 2^k - offset <= n_max, k >= offset
 FAMILIES = ((count_s_partitions_table, 1), (count_binary_partitions_table, 0))
@@ -60,8 +59,8 @@ def test_mersenne_parts_examples():
 
 
 def test_powers_of_two():
-    assert powers_of_two_upto(0) == []
-    assert powers_of_two_upto(10) == [1, 2, 4, 8]
+    assert _powers_of_two_upto(0) == []
+    assert _powers_of_two_upto(10) == [1, 2, 4, 8]
 
 
 def test_table_small_values(table500):
@@ -160,12 +159,14 @@ def test_table_bounds():
     table = count_s_partitions_table(10)
     assert table[0] == 1 and table[10] == 6
     assert table.cumulative(11) == sum(table.counts)
-    for n in (-1, 11, 1000):
+    # non-int and bool indices too: a float index fails inside the list
+    # lookup, and True would read counts[1]
+    for n in (-1, 11, 1000, 2.0, 2.5, True, False):
         with pytest.raises(DomainError):
             table[n]
         with pytest.raises(DomainError):
             table.ln(n)
-    for u in (0, -1, 12, 1000):
+    for u in (0, -1, 12, 1000, 3.0, True):
         with pytest.raises(DomainError):
             table.cumulative(u)
 
@@ -218,11 +219,11 @@ def test_negative_inputs_rejected():
         (mersenne_parts_upto, -1),
         (count_s_partitions_table, -1),
         (count_binary_partitions_table, -2),
-        (powers_of_two_upto, -1),
+        (count_binary_partitions_table, -1),
         (count_s_partitions_table, 10.0),
         (count_binary_partitions_table, 10.0),
         (mersenne_parts_upto, 7.5),
-        (powers_of_two_upto, 8.0),
+        (count_binary_partitions_table, 8.0),
         (brute_force_count, 3.0),
         (cumulative_P, 3.0),
         (ln_count, 2.5),
@@ -235,7 +236,7 @@ def test_negative_inputs_rejected():
 def test_bool_table_size_rejected():
     # bool is an int subclass; True would otherwise build a table with n_max True
     for build in (count_s_partitions_table, count_binary_partitions_table,
-                  mersenne_parts_upto, powers_of_two_upto, brute_force_count,
+                  mersenne_parts_upto, brute_force_count,
                   cumulative_P, ln_count):
         for flag in (True, False):
             with pytest.raises(DomainError):

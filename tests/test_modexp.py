@@ -140,6 +140,20 @@ def test_modexp_domain():
         modexp_reference(2, 3, 0)
     with pytest.raises(DomainError):
         modexp_reference(2, -1, 5)
+    # non-int arguments, which would fail in bit_length or in %, or (a
+    # float modulus) give a float answer
+    for call, args in [
+        (greedy_decompose, (2.5,)),
+        (modexp_spartition, (3, 2.5, 7)),
+        (modexp_spartition, (3, 5, 7.0)),
+        (modexp_spartition, (3.0, 5, 7)),
+        (pow_mersenne_part, (3, 2.5, 7)),
+        (pow_mersenne_part, (3, 2, 7.0)),
+        (modexp_reference, (3, 2.5, 7)),
+        (modexp_reference, (3, 5, 7.0)),
+    ]:
+        with pytest.raises(DomainError):
+            call(*args)
 
 
 def test_bool_exponent_rejected():
@@ -151,3 +165,9 @@ def test_bool_exponent_rejected():
             modexp_spartition(3, flag, 7)
         with pytest.raises(DomainError):
             pow_mersenne_part(3, flag, 7)
+        with pytest.raises(DomainError):
+            modexp_reference(3, flag, 7)
+        with pytest.raises(DomainError):
+            modexp_spartition(flag, 5, 7)
+        with pytest.raises(DomainError):
+            modexp_spartition(3, 5, flag)

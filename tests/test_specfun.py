@@ -74,13 +74,6 @@ def test_zeta_known_values():
     assert abs(zeta_complex(3.0) - 1.2020569031595943) <= 1e-12
 
 
-def test_zeta_self_convergence_at_t1():
-    s = complex(1.0, T1)
-    base = zeta_complex(s)
-    doubled = zeta_complex(s, n_terms=2 * (int(T1) + 24), n_bernoulli=13)
-    assert abs(base - doubled) <= 1e-10
-
-
 def test_zeta_at_oscillation_frequency():
     # frozen from the Hurwitz(1/2) evaluation at 50 digits
     ref = complex(1.34657954283631703147, 0.10988313679626963757)
@@ -89,7 +82,8 @@ def test_zeta_at_oscillation_frequency():
 
 def test_zeta_against_mpmath_band():
     for re in (0.6, 1.0, 1.5, 2.0, 4.0):
-        for im in (0.0, 1.0, T1, 2 * T1, 100.0, 1000.0, 1e5):
+        # 22 T1 is W's highest frequency, the last inside the band
+        for im in (0.0, 1.0, T1, 2 * T1, 100.0, 22 * T1, 200.0, -200.0):
             if re == 1.0 and im == 0.0:
                 continue
             s = complex(re, im)
@@ -109,8 +103,9 @@ def test_zeta_pole_and_band():
         zeta_complex(1.0)
     with pytest.raises(DomainError):
         zeta_complex(0.5 + 3.0j)
-    with pytest.raises(DomainError):
-        zeta_complex(complex(1.0, 2e5))
+    for im in (201.0, 1000.0, 1e5, 2e5):
+        with pytest.raises(DomainError):
+            zeta_complex(complex(1.0, im))
 
 
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.nan),

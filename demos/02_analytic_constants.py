@@ -2,7 +2,8 @@
 
 alpha is the dyadic sawtooth integral of f(v)/(v(v-1)) from 2 on; c
 adds the closed form (pi^2 + ln^2 2)/(12 ln 2); H adds the tail
-integral over (0, infinity) divided by ln 2.  Two identities from the
+integral over (0, infinity) divided by ln 2, which is exact:
+I = pi^2/12 - gamma^2/2 - gamma_1.  Two identities from the
 derivation are checked numerically along the way.
 """
 
@@ -26,7 +27,7 @@ H = H_constant(TOL)
 
 print(f"alpha = {alpha:.12f}   (dyadic sawtooth integral)")
 print(f"c     = {c:.12f}   (= (pi^2+ln^2 2)/(12 ln2) + alpha)")
-print(f"I     = {tail:.12f}   (tail integral)")
+print(f"I     = {tail:.12f}   (tail integral, = pi^2/12 - gamma^2/2 - gamma_1)")
 print(f"H     = {H:.12f}   (= c + I/ln2)")
 
 print("\nidentity checks:")

@@ -10,8 +10,9 @@ r1*l1 + r2*l2 + ... < u satisfies
                 + W(ln u - lnln u - ln a) - ln(2 pi)/2 + H + o(1),
 
 with H = c - b ln l1 - a ln^2(l1)/2 + a * I, where c is the mean of the
-integrated remainder, I is a fixed tail integral, and W is a small
-periodic oscillation built from Gamma and zeta on the imaginary axis.
+integrated remainder, I is a fixed tail integral with a closed form, and
+W is a small periodic oscillation built from Gamma and zeta on the
+imaginary axis.
 
 The estimate serves two part families: Mersenne parts 2^k - 1 (b = -1/2,
 c = (pi^2 + ln^2 2)/(12 ln2) + alpha) and power-of-two parts (b = +1/2,
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _check_int
 from .quadrature import integrate_adaptive
 from .specfun import IM_BAND
 
@@ -51,9 +52,13 @@ __all__ = [
 LN2 = math.log(2.0)
 A = 1.0 / LN2  # the coefficient a of ln u in N(u), shared by both families
 _MIN_TOL = 1e-10
-# distinct tols whose constants stay cached; an unbounded cache grows with
+# distinct tols whose alpha stays cached; an unbounded cache grows with
 # every new tol a long-running caller passes
 _TOL_CACHE = 32
+# Euler's constant gamma and the first Stieltjes constant gamma_1
+_EULER_GAMMA = 0.57721566490153286060651
+_STIELTJES_1 = -0.072815845483676724860586
+_TAIL_I = math.pi ** 2 / 12.0 - _EULER_GAMMA ** 2 / 2.0 - _STIELTJES_1
 # W's frequencies t_nu = 2 pi nu / ln2 inside the specfun band: nu = 1..22
 _W_FREQS = int(IM_BAND * LN2 / (2.0 * math.pi))
 
@@ -75,6 +80,12 @@ def _check_float_x(x, name: str) -> None:
     except OverflowError:
         pass
     raise DomainError(f"{name} needs x within the float range")
+
+
+def _check_tol(tol, name: str) -> None:
+    """DomainError unless _MIN_TOL <= tol < inf (NaN fails too)."""
+    if not _MIN_TOL <= tol < math.inf:
+        raise DomainError(f"{name} needs {_MIN_TOL:g} <= tol < inf, got {tol}")
 
 
 def sawtooth_f(x) -> float:
@@ -127,8 +138,7 @@ def alpha_constant(tol: float = 1e-8) -> float:
     analytic tail bound |f| <= 1/2, integral of 1/(v(v-1)) beyond 2^K
     <= 1/(2^K - 1); K is chosen so the bound is under tol/2.
     """
-    if not _MIN_TOL <= tol < math.inf:
-        raise DomainError(f"alpha needs {_MIN_TOL:g} <= tol < inf, got {tol}")
+    _check_tol(tol, "alpha")
     K = 2
     while 0.5 / (2.0 ** K - 1.0) >= 0.5 * tol:
         K += 1
@@ -159,42 +169,25 @@ def c_constant(tol: float = 1e-8) -> float:
     return closed + alpha_constant(tol)
 
 
-def _tail_kernel(v: float) -> float:
-    # (ln v - ln(1 - e^-v)) / (e^v - 1); series below 1e-3 avoids the
-    # 0/0 at the origin (the limit is 1/2)
-    if v < 1e-3:
-        return 0.5 - 7.0 * v / 24.0 + v * v / 16.0 - v ** 3 / 320.0
-    return -math.log(-math.expm1(-v) / v) / math.expm1(v)
-
-
-@lru_cache(maxsize=_TOL_CACHE)
 def tail_integral_I(tol: float = 1e-8) -> float:
-    """Integral of (ln v - ln(1-e^-v))/(e^v - 1) over (0, infinity).
+    """Integral of (ln v - ln(1-e^-v))/(e^v - 1) over (0, infinity), exact.
 
-    The range [T, infinity) is dropped under the analytic bound
-    (ln T + 1) e^-T (1 + 2 e^-T) < tol/2; [0, T] goes to quadrature.
+    With 1/(e^v - 1) = sum_j e^-jv the j-th term integrates to
+    (H_j - ln j - gamma)/j, and these sum to pi^2/12 - gamma^2/2 - gamma_1.
+    tol is only checked, so the estimates keep one tol domain.
     """
-    if not _MIN_TOL <= tol < math.inf:
-        raise DomainError(f"tail integral needs {_MIN_TOL:g} <= tol < inf, got {tol}")
-    T = 2.0
-    while (math.log(T) + 1.0) * math.exp(-T) * (1.0 + 2.0 * math.exp(-T)) >= 0.5 * tol:
-        T += 1.0
-    pts = [p for p in (1.0, 5.0, 20.0) if p < T]
-    try:
-        res = integrate_adaptive(_tail_kernel, 0.0, T, tol=0.5 * tol,
-                                 breakpoints=pts)
-    except AccuracyError as exc:
-        raise AccuracyError(f"tail integral: {exc}", best=exc.best) from exc
-    return res.value
+    _check_tol(tol, "tail integral")
+    return _TAIL_I
+
+
+def _h(c: float, tol: float) -> float:
+    # c - b ln l1 - a ln^2(l1)/2 + a I collapses to c + a I: l1 = 1
+    return c + A * tail_integral_I(tol)
 
 
 def H_constant(tol: float = 1e-8) -> float:
-    """Additive constant for the Mersenne family: c + I/ln 2.
-
-    The general form c - b ln l1 - a ln^2(l1)/2 + a I collapses to this
-    because the smallest part l1 is 1.
-    """
-    return c_constant(tol) + tail_integral_I(tol) / LN2
+    """Additive constant H = c + I/ln 2 of the Mersenne family."""
+    return _h(c_constant(tol), tol)
 
 
 def sawtooth_log_integral_series(u: float, nu_max: int = 10_000) -> float:
@@ -206,8 +199,7 @@ def sawtooth_log_integral_series(u: float, nu_max: int = 10_000) -> float:
     """
     if not 1 <= u < math.inf:
         raise DomainError(f"needs finite u >= 1, got {u}")
-    if nu_max < 1:
-        raise DomainError(f"needs nu_max >= 1, got {nu_max}")
+    _check_int("nu_max", nu_max, 1)
     x = math.log2(u)
     nu = np.arange(1, nu_max + 1, dtype=float)
     cosines = np.cos((2.0 * math.pi * x) * nu) / (nu * nu)
@@ -233,6 +225,7 @@ def binary_partition_params(tol: float = 1e-8) -> AsymptoticParams:
     remainder mean is exactly ln2/12 with the same dyadic Fourier
     coefficients.
     """
+    _check_tol(tol, "binary params")
     return AsymptoticParams(b=0.5, c=LN2 / 12.0)
 
 
@@ -246,8 +239,7 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     Frequencies beyond the specfun band are dropped: |Gamma(it)| < 1e-130
     there, far below double noise.
     """
-    if nu_max < 1:
-        raise DomainError(f"needs nu_max >= 1, got {nu_max}")
+    _check_int("nu_max", nu_max, 1)
     if not math.isfinite(z):
         raise DomainError(f"needs a finite z, got {z}")
     total = 0.0 + 0.0j
@@ -305,7 +297,7 @@ def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = 1e-8,
     bline_term = (params.b - 0.5) * arg
     w_value = w_oscillation_complex(arg, nu_max).real
     gauss_const = -0.5 * math.log(2.0 * math.pi)
-    h_const = params.c + A * tail_integral_I(tol)
+    h_const = _h(params.c, tol)
     terms = (quad_term, lin_term, bline_term, w_value, gauss_const, h_const)
     return AsymptoticBreakdown(*terms, total=_assemble(terms))
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .counting import CountTable, count_s_partitions_table, ln_count
+from .counting import MAX_EXACT_N, CountTable, count_s_partitions_table, ln_count
 from .errors import DomainError
 
 __all__ = ["AuditRecord", "AuditSummary", "bhatt_bound", "audit_scan", "summarize",
@@ -27,8 +27,6 @@ TERM_CONVENTION = (
     "summand conventions: n-3i < 2 -> 0; floor(log2(n-3i)) = 0 -> 0 "
     "(avoids 0^-1); floor(log2(n-3i)) = 1 -> 1^0 = 1"
 )
-
-MAX_SCAN = 10 ** 6
 
 # m^(m-1) memo, filled on first use so that no n is out of range;
 # computing the power on every call would double bhatt_bound's cost
@@ -71,8 +69,8 @@ def bhatt_bound(n: int) -> int:
 
 def audit_scan(n_max: int, table: CountTable | None = None) -> Iterator[AuditRecord]:
     """Stream AuditRecords for n = 1..n_max against one shared DP table."""
-    if not 1 <= n_max <= MAX_SCAN:
-        raise DomainError(f"scan supports 1 <= n_max <= {MAX_SCAN}, got {n_max}")
+    if not 1 <= n_max <= MAX_EXACT_N:
+        raise DomainError(f"scan supports 1 <= n_max <= {MAX_EXACT_N}, got {n_max}")
     if table is None or table.n_max < n_max:
         table = count_s_partitions_table(n_max)
     counts = table.counts

@@ -18,8 +18,6 @@ from .errors import AccuracyError, DomainError
 
 __all__ = ["main", "run"]
 
-EXACT_LN_LIMIT = 10 ** 6
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
@@ -46,13 +44,20 @@ class _Emitter:
         self._csv.writerow(record)
 
 
+def _exact_n(n: int, flag: str) -> int:
+    # checked before the table is allocated: its memory grows with n
+    if n > counting.MAX_EXACT_N:
+        raise DomainError(f"{flag} must be <= {counting.MAX_EXACT_N}, got {n}")
+    return n
+
+
 def _cmd_count(args, emit):
-    table = counting.count_s_partitions_table(args.n)
+    table = counting.count_s_partitions_table(_exact_n(args.n, "--n"))
     emit({"n": args.n, "count": str(table[args.n])})
 
 
 def _cmd_table(args, emit):
-    table = counting.count_s_partitions_table(args.max_n)
+    table = counting.count_s_partitions_table(_exact_n(args.max_n, "--max-n"))
     for n in range(args.max_n + 1):
         emit({"n": n, "count": str(table[n])})
 
@@ -60,7 +65,7 @@ def _cmd_table(args, emit):
 def _cmd_estimate(args, emit):
     bd = asymptotics.ln_ps_estimate(args.n, tol=args.tol, nu_max=args.nu_max)
     record = {"n": args.n, **asdict(bd)}
-    if args.n <= EXACT_LN_LIMIT:
+    if args.n <= counting.MAX_EXACT_N:
         exact_ln = counting.count_s_partitions_table(args.n).ln(args.n)
         record["exact_ln"] = exact_ln
         record["error"] = bd.total - exact_ln
@@ -133,7 +138,7 @@ def _cmd_modexp(args, emit):
 
 
 def _cmd_binary_cross_check(args, emit):
-    table = counting.count_binary_partitions_table(args.n)
+    table = counting.count_binary_partitions_table(_exact_n(args.n, "--n"))
     exact_ln = table.ln(args.n)
     params = asymptotics.binary_partition_params(args.tol)
     bd = asymptotics.ln_Ph_estimate(float(args.n + 1), params, tol=args.tol,

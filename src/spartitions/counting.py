@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 300
+# the largest n whose exact table the audit and the CLI build: a 10^6
+# table takes about 1 s and 105 MB, and the cost grows faster than n
+MAX_EXACT_N = 10 ** 6
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ class DomainError(ValueError):
     """An argument lies outside the supported domain of an operation."""
 
 
-class PoleError(ValueError):
+class PoleError(DomainError):
     """A special function was evaluated at one of its poles."""
 
 

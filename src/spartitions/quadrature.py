@@ -2,11 +2,10 @@
 
 A 7-15 Gauss-Kronrod pair drives a worst-interval-first subdivision
 loop.  Nodes are strictly interior, so integrands with removable
-endpoint singularities (ln(1+t)/t at 0, the tail-integral kernel) can
-be integrated without special casing, provided callers supply any
-interior breakpoints (sawtooth corners, dyadic points) up front: the
-engine never subdivides *across* a supplied breakpoint, it starts from
-them.  Limits must be finite: callers cut infinite tails off with an
+endpoint singularities (ln(1+t)/t at 0) can be integrated without
+special casing, provided callers supply any interior breakpoints
+(sawtooth corners, dyadic points) up front: the engine never subdivides
+*across* a supplied breakpoint, it starts from them.  Limits must be finite: callers cut infinite tails off with an
 analytic bound first.
 """
 
@@ -34,6 +33,7 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
        0.417959183673469)
 
 _EPS = 2.220446049250313e-16
+_MAX_INTERVALS = 4096
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,14 @@ def _gauss_kronrod(f, a: float, b: float):
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
-                       breakpoints=(), max_intervals: int = 4096) -> QuadratureResult:
+                       breakpoints=()) -> QuadratureResult:
     """Integrate f over the finite interval [a, b] to absolute tolerance tol.
 
     breakpoints: interior abscissae where f or a derivative jumps; the
     initial subdivision is split there.  Raises AccuracyError (with the
-    best estimate attached) if the interval budget is exhausted before
-    the error estimate drops below tol.
+    best estimate attached) if f returns a non-finite value, or if the
+    budget of 4096 intervals is exhausted before the error estimate
+    drops below tol.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
@@ -107,7 +108,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
         total_err += err
         heapq.heappush(heap, (-err, lo, hi, val, err))
 
-    while total_err > tol and len(heap) < max_intervals:
+    while total_err > tol and len(heap) < _MAX_INTERVALS:
         _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -129,6 +130,11 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     total_err = math.fsum(item[4] for item in heap)
 
     result = QuadratureResult(total, total_err, nevals)
+    if not (math.isfinite(total) and math.isfinite(total_err)):
+        raise AccuracyError(
+            f"quadrature met a non-finite integrand value after {nevals} evaluations",
+            best=result,
+        )
     if total_err > tol:
         raise AccuracyError(
             f"quadrature stalled at error {total_err:.3e} > tol {tol:.3e} "

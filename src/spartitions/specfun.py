@@ -83,10 +83,19 @@ def _lanczos(z: complex) -> complex:
 
 
 def gamma_imag_axis_modulus(t: float) -> float:
-    """|Gamma(i t)| from the closed form sqrt(pi / (t sinh(pi t))), t > 0."""
-    if t <= 0.0:
-        raise DomainError(f"modulus identity needs t > 0, got {t}")
-    return math.sqrt(math.pi / (t * math.sinh(math.pi * t)))
+    """|Gamma(i t)| = sqrt(pi / (t sinh(pi t))) for finite 0 < t <= 200.
+
+    Computed as sqrt(x / sinh x) / t with x = pi t, where x / sinh x lies
+    in (0, 1], so no intermediate leaves the float range; the value itself
+    does below t ~ 5.6e-309, which raises DomainError.
+    """
+    if not 0.0 < t <= IM_BAND:
+        raise DomainError(f"modulus identity needs finite 0 < t <= {IM_BAND:g}, got {t}")
+    x = math.pi * t
+    value = math.sqrt(x / math.sinh(x)) / t
+    if value == math.inf:
+        raise DomainError(f"|Gamma(i t)| overflows a float at t = {t}")
+    return value
 
 
 def zeta_complex(s) -> complex:

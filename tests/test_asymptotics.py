@@ -22,7 +22,7 @@ from spartitions import (
     w_oscillation_complex,
 )
 from spartitions import asymptotics, specfun
-from spartitions.asymptotics import _alpha_slice, _remainder_R, _tail_kernel
+from spartitions.asymptotics import _alpha_slice, _remainder_R
 
 LN2 = math.log(2.0)
 
@@ -153,17 +153,6 @@ def test_c_constant_composition():
     assert abs(c_constant(1e-8) - alpha_constant(1e-8) - closed) <= 1e-14
 
 
-def test_tail_kernel_limit_and_value():
-    assert abs(_tail_kernel(1e-9) - 0.5) <= 1e-9
-    # series branch agrees with the direct formula at the same point
-    v = 0.999e-3
-    direct_v = -math.log(-math.expm1(-v) / v) / math.expm1(v)
-    assert abs(_tail_kernel(v) - direct_v) <= 1e-11
-    direct = (0.0 - math.log(1.0 - math.exp(-1.0))) / (math.e - 1.0)
-    assert abs(_tail_kernel(1.0) - direct) <= 1e-14
-    assert abs(direct - 0.26694) <= 5e-6
-
-
 def test_tail_integral_value_and_stability():
     assert abs(tail_integral_I(1e-8) - TAIL_REF) <= 1e-8
     assert abs(tail_integral_I(1e-10) - TAIL_REF) <= 1e-10
@@ -172,11 +161,36 @@ def test_tail_integral_value_and_stability():
             tail_integral_I(tol)
 
 
+def test_tail_integral_closed_form():
+    # two independent routes: the integral itself, and the closed form of
+    # its series sum_j (H_j - ln j - gamma)/j
+    with mpmath.workdps(30):
+        integral = mpmath.quad(
+            lambda v: -mpmath.log(-mpmath.expm1(-v) / v) / mpmath.expm1(v),
+            [0, 1, 5, 20, mpmath.inf])
+        closed = mpmath.pi ** 2 / 12 - mpmath.euler ** 2 / 2 - mpmath.stieltjes(1)
+        assert abs(integral - closed) <= mpmath.mpf(10) ** -25
+    value = tail_integral_I()
+    assert value == 0.7286939170039306
+    assert abs(value - float(integral)) <= 2.0 ** -53 * value
+    assert abs(value - float(closed)) <= 2.0 ** -53 * value
+    assert not hasattr(tail_integral_I, "cache_info")
+    for tol in (1e-10, 3.3e-9, 1e-8, 1e-6, 0.5, 1.0, 1e300):
+        assert tail_integral_I(tol) == value, tol
+
+
 def test_H_composition_and_reduction():
     tol = 1e-8
     h = H_constant(tol)
     assert abs(h - c_constant(tol) - tail_integral_I(tol) / LN2) <= 1e-14
     assert abs(h - 2.3511074602466) <= 1e-7
+
+
+def test_H_has_one_home():
+    # H_constant and the estimate's h_const are one expression, bit for bit
+    tols = [1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 3.7e-10, 2.5e-9, 4.2e-8, 6.1e-7]
+    for tol in tols:
+        assert H_constant(tol) == ln_ps_estimate(4096, tol).h_const, tol
 
 
 def test_sawtooth_log_integral_series_matches_closed_form():
@@ -213,8 +227,9 @@ def test_sawtooth_family_rejects_non_finite(fn, x):
 def test_series_domain():
     with pytest.raises(DomainError):
         sawtooth_log_integral_series(0.5, 100)
-    with pytest.raises(DomainError):
-        sawtooth_log_integral_series(3.0, 0)
+    for nu_max in (0, -1, 2.5, 3.0, True):
+        with pytest.raises(DomainError):
+            sawtooth_log_integral_series(3.0, nu_max)
 
 
 def test_sawtooth_integral_against_closed_form():
@@ -322,12 +337,10 @@ def test_constant_caches_are_bounded():
     tols = [1e-6 * (1.0 + i * 2.0 ** -20) for i in range(200)]
     for tol in tols:
         alpha_constant(tol)
-        tail_integral_I(tol)
-    for fn in (alpha_constant, tail_integral_I):
-        info = fn.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
-        fn(tols[-1])  # the latest tol is still cached
-        assert fn.cache_info().hits == info.hits + 1
+    info = alpha_constant.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    alpha_constant(tols[-1])  # the latest tol is still cached
+    assert alpha_constant.cache_info().hits == info.hits + 1
 
 
 def test_w_magnitude_bound():
@@ -341,8 +354,11 @@ def test_w_magnitude_bound():
 
 def test_w_nu_max_insensitive():
     assert abs(w_oscillation(0.1, 2) - w_oscillation(0.1, 16)) <= 1e-12
-    with pytest.raises(DomainError):
-        w_oscillation(0.1, 0)
+    for nu_max in (0, 2.5, 16.0, True):
+        with pytest.raises(DomainError):
+            w_oscillation(0.1, nu_max)
+        with pytest.raises(DomainError):
+            w_oscillation_complex(0.1, nu_max)
     for z in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             w_oscillation(z)
@@ -417,6 +433,13 @@ def test_estimate_domain_errors():
             ln_ps_estimate(n)
         with pytest.raises(DomainError):
             ln_Ph_estimate(n, binary_partition_params(1e-8))
+    with pytest.raises(DomainError):
+        ln_ps_estimate(4096, 1e-8, 2.5)
+    for tol in (1e-11, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            binary_partition_params(tol)
+        with pytest.raises(DomainError):
+            ln_Ph_estimate(501.0, AsymptoticParams(b=0.5, c=LN2 / 12.0), tol)
 
 
 def test_binary_params_structure():

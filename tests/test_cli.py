@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from spartitions import run_audit
+from spartitions import counting, run_audit
 from spartitions.cli import run
 
 
@@ -134,6 +134,23 @@ def test_usage_error_exit_1(capsys):
 def test_domain_error_exit_1(capsys):
     assert run(["count", "--n", "-3"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["count", "--n"], ["table", "--max-n"],
+                                  ["binary-cross-check", "--n"]])
+def test_exact_tables_stop_at_the_limit(capsys, monkeypatch, argv):
+    # rejected before any table is built
+    def no_table(n_max):
+        raise AssertionError("table built past the limit")
+
+    monkeypatch.setattr(counting, "count_s_partitions_table", no_table)
+    monkeypatch.setattr(counting, "count_binary_partitions_table", no_table)
+    assert counting.MAX_EXACT_N == 10 ** 6
+    for n in (10 ** 6 + 1, 10 ** 9):
+        assert run(argv + [str(n)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be <= {10 ** 6}" in captured.err
 
 
 def test_unknown_command_exit_1(capsys):

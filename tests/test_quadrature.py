@@ -44,12 +44,21 @@ def test_honesty_on_known_integrals():
 
 
 def test_budget_exhaustion_carries_best():
+    # the 4096-interval budget runs out on 1/v long before 1e-300
     with pytest.raises(AccuracyError) as info:
-        integrate_adaptive(lambda v: v ** -0.9, 1e-300, 1.0, tol=1e-13,
-                           max_intervals=8)
+        integrate_adaptive(lambda v: 1.0 / v, 1e-300, 1.0, tol=1e-13)
     best = info.value.best
     assert best is not None
     assert best.error_estimate > 1e-13
+    assert best.evaluations == 15 + 30 * 4095
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_integrand_raises_with_best(bad):
+    for f in (lambda v: bad, lambda v: bad if v > 0.9 else v):
+        with pytest.raises(AccuracyError) as info:
+            integrate_adaptive(f, 0.0, 1.0)
+        assert info.value.best is not None
 
 
 def test_domain_errors():

@@ -64,6 +64,7 @@ def test_gamma_poles_and_band():
     for z in (0.0, -1.0, -7.0):
         with pytest.raises(PoleError):
             gamma_complex(z)
+    assert issubclass(PoleError, DomainError)  # poles take the CLI's exit-1 path
     with pytest.raises(DomainError):
         gamma_complex(1.0 + 201.0j)
 
@@ -119,5 +120,16 @@ def test_non_finite_arguments_rejected(z):
 
 
 def test_modulus_identity_domain():
-    with pytest.raises(DomainError):
-        gamma_imag_axis_modulus(0.0)
+    for t in (0.0, -1.0, math.nan, math.inf, 225.0, 1000.0, 1e-310, 5e-324):
+        with pytest.raises(DomainError):
+            gamma_imag_axis_modulus(t)
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-160, 1e-8, 1.0, T1, 100.0, 200.0])
+def test_modulus_identity_across_the_range(t):
+    # no intermediate over- or underflows, from 1/t ~ 1e300 down to ~1e-138
+    with mpmath.workdps(30):
+        truth = mpmath.sqrt(mpmath.pi / (t * mpmath.sinh(mpmath.pi * t)))
+    value = gamma_imag_axis_modulus(t)
+    assert math.isfinite(value) and value > 0.0
+    assert abs(value - float(truth)) <= 1e-13 * float(truth), t

@@ -22,6 +22,7 @@ c + a I and only b and c vary.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,6 +60,10 @@ _TOL_CACHE = 32
 _EULER_GAMMA = 0.57721566490153286060651
 _STIELTJES_1 = -0.072815845483676724860586
 _TAIL_I = math.pi ** 2 / 12.0 - _EULER_GAMMA ** 2 / 2.0 - _STIELTJES_1
+# rounding bound on _TAIL_I: pi, gamma and gamma_1 round to binary64 and
+# each of the six operations rounds at most once, all on terms below 1;
+# summed by magnitude that is under 5.3 units of 2^-53
+TAIL_I_ERROR_BOUND = 8 * 2.0 ** -53
 # W's frequencies t_nu = 2 pi nu / ln2 inside the specfun band: nu = 1..22
 _W_FREQS = int(IM_BAND * LN2 / (2.0 * math.pi))
 
@@ -83,9 +88,15 @@ def _check_float_x(x, name: str) -> None:
 
 
 def _check_tol(tol, name: str) -> None:
-    """DomainError unless _MIN_TOL <= tol < inf (NaN fails too)."""
-    if not _MIN_TOL <= tol < math.inf:
-        raise DomainError(f"{name} needs {_MIN_TOL:g} <= tol < inf, got {tol}")
+    """DomainError unless tol is a real number, not a bool, with
+    _MIN_TOL <= tol < inf (NaN fails too)."""
+    # a str or None would raise TypeError in the comparison, and a bool
+    # would pass as 0 or 1.  float is tested first: the estimates check tol
+    # on every call, and the ABC isinstance costs ten times the comparison
+    real = type(tol) is float or (not isinstance(tol, bool)
+                                  and isinstance(tol, numbers.Real))
+    if not (real and _MIN_TOL <= tol < math.inf):
+        raise DomainError(f"{name} needs {_MIN_TOL:g} <= tol < inf, got {tol!r}")
 
 
 def sawtooth_f(x) -> float:
@@ -129,7 +140,6 @@ def sawtooth_log_integral(u: float, tol: float = 1e-10) -> float:
     return res.value
 
 
-@lru_cache(maxsize=_TOL_CACHE)
 def alpha_constant(tol: float = 1e-8) -> float:
     """The dyadic sawtooth integral of f(v)/(v(v-1)) from 2 to infinity.
 
@@ -139,6 +149,11 @@ def alpha_constant(tol: float = 1e-8) -> float:
     <= 1/(2^K - 1); K is chosen so the bound is under tol/2.
     """
     _check_tol(tol, "alpha")
+    return _alpha_sum(tol)
+
+
+@lru_cache(maxsize=_TOL_CACHE)
+def _alpha_sum(tol: float) -> float:
     K = 2
     while 0.5 / (2.0 ** K - 1.0) >= 0.5 * tol:
         K += 1
@@ -147,6 +162,13 @@ def alpha_constant(tol: float = 1e-8) -> float:
     for k in range(1, K + 1):
         total += _alpha_slice(k, slice_tol)
     return total
+
+
+# the cache sits behind the tol check, so a bool tol cannot hit the entry of
+# an equal int or float, and an unhashable one raises DomainError, not the
+# cache's TypeError
+alpha_constant.cache_info = _alpha_sum.cache_info
+alpha_constant.cache_clear = _alpha_sum.cache_clear
 
 
 def _alpha_slice(k: int, tol: float) -> float:
@@ -174,7 +196,8 @@ def tail_integral_I(tol: float = 1e-8) -> float:
 
     With 1/(e^v - 1) = sum_j e^-jv the j-th term integrates to
     (H_j - ln j - gamma)/j, and these sum to pi^2/12 - gamma^2/2 - gamma_1.
-    tol is only checked, so the estimates keep one tol domain.
+    The value is within TAIL_I_ERROR_BOUND of I whatever the tol; tol is
+    only checked, so the estimates keep one tol domain.
     """
     _check_tol(tol, "tail integral")
     return _TAIL_I

@@ -81,8 +81,10 @@ def _cmd_constants(args, emit):
     emit({
         "alpha": alpha, "alpha_error_bound": tol,
         "c": c, "c_error_bound": tol,
-        "tail_integral": tail, "tail_integral_error_bound": tol,
-        "H": h, "H_error_bound": tol * (1.0 + 1.0 / math.log(2.0)),
+        "tail_integral": tail,
+        "tail_integral_error_bound": asymptotics.TAIL_I_ERROR_BOUND,
+        "H": h,
+        "H_error_bound": tol + asymptotics.TAIL_I_ERROR_BOUND / math.log(2.0),
     })
 
 

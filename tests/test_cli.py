@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from spartitions import counting, run_audit
+from spartitions import asymptotics, counting, run_audit
 from spartitions.cli import run
 
 
@@ -54,7 +54,10 @@ def test_constants(capsys):
     rec = recs[0]
     assert abs(rec["alpha"] - 0.0554929844) <= 1e-6
     assert abs(rec["H"] - (rec["c"] + rec["tail_integral"] / math.log(2))) <= 1e-12
-    assert rec["alpha_error_bound"] == 1e-7
+    assert rec["alpha_error_bound"] == rec["c_error_bound"] == 1e-7
+    # I is a closed form: its bound is rounding-level, not the tol
+    assert rec["tail_integral_error_bound"] == asymptotics.TAIL_I_ERROR_BOUND < 1e-15
+    assert rec["H_error_bound"] == 1e-7 + asymptotics.TAIL_I_ERROR_BOUND / math.log(2)
 
 
 def test_constants_rejects_nan_tol(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 
 import mpmath
 import pytest
@@ -16,7 +17,7 @@ from spartitions import (
     ln_count,
     mersenne_parts_upto,
 )
-from spartitions.counting import BRUTE_FORCE_LIMIT, _powers_of_two_upto
+from spartitions.counting import BRUTE_FORCE_LIMIT
 
 # (builder, offset): the family's parts are 2^k - offset <= n_max, k >= offset
 FAMILIES = ((count_s_partitions_table, 1), (count_binary_partitions_table, 0))
@@ -41,6 +42,17 @@ def _loop_dp(n_max, parts):
         for i in range(p, n_max + 1):
             counts[i] += counts[i - p]
     return counts
+
+
+def _powers_of_two_upto(n):
+    # the binary family's parts 2^k <= n, k >= 0
+    return [1 << k for k in range(n.bit_length())] if n >= 1 else []
+
+
+def _ln_count_expression(value):
+    # ln_count's shift-and-mantissa expression, with no <= 64-bit branch
+    shift = max(0, value.bit_length() - 64)
+    return math.log(value >> shift) + shift * math.log(2.0)
 
 
 def _digest(counts):
@@ -178,6 +190,32 @@ def test_binary_small_values(binary500):
     assert binary500.counts[:11] == [1, 1, 2, 2, 4, 4, 6, 6, 10, 10, 14]
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, DIGEST_N, DIGEST_N + 1])
+def test_binary_table_matches_powers_of_two_dp(n_max):
+    # the halving recurrence against an independent route, the unbounded DP
+    # over the parts 1 << k; n_max <= 300 and the row edges are covered by
+    # the loop-oracle tests above
+    expected = _loop_dp(n_max, _powers_of_two_upto(n_max))
+    assert count_binary_partitions_table(n_max).counts == expected
+
+
+@pytest.mark.parametrize("n_max", [DIGEST_N, DIGEST_N + 1])
+def test_binary_pairs_share_one_int(n_max):
+    # b(2m + 1) = b(2m): the table stores that count once
+    b = count_binary_partitions_table(n_max).counts
+    assert all(b[2 * m] is b[2 * m + 1] for m in range((n_max + 1) // 2))
+
+
+def test_binary_table_cost():
+    # n_max/2 additions of ints of at most 141 bits at 10^6: well under 0.3 s
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        count_binary_partitions_table(10 ** 6)
+        best = min(best, time.perf_counter() - start)
+    assert best <= 0.3
+
+
 def test_binary_recurrence(binary500):
     # classical: b(2m) = b(2m-1) + b(m), b(2m+1) = b(2m)
     b = binary500.counts
@@ -205,6 +243,18 @@ def test_ln_count_matches_mpmath_property(v):
     with mpmath.workdps(40):
         ref = mpmath.log(mpmath.mpf(v))
         assert abs(mpmath.mpf(ln_count(v)) - ref) <= 1e-15 * ref
+
+
+def test_ln_count_matches_its_general_expression():
+    # bit-identical to the shift-and-mantissa expression on every size,
+    # across the 64-bit edge of the fast path
+    rng = random.Random(11)
+    values = (count_s_partitions_table(DIGEST_N).counts
+              + count_binary_partitions_table(DIGEST_N).counts
+              + [rng.getrandbits(rng.randrange(1, 10_001)) | 1 for _ in range(2000)]
+              + [(1 << 63) - 1, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 64) + 1])
+    for v in values:
+        assert ln_count(v) == _ln_count_expression(v), v
 
 
 def test_ln_count_domain():

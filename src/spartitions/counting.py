@@ -24,8 +24,9 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 300
-# the largest n whose exact table the audit and the CLI build: a 10^6
-# table takes about 1 s and 105 MB, and the cost grows faster than n
+# the largest n_max of an exact table: a 10^6 p_s table takes about 0.5 s
+# and 113 MB, and the cost grows faster than n.  It also keeps n_max + 1
+# below 2^31, which the limb width of _unbounded_dp needs
 MAX_EXACT_N = 10 ** 6
 _LN2 = log(2.0)
 
@@ -69,31 +70,66 @@ def mersenne_parts_upto(n: int) -> list:
     return parts
 
 
+def _check_n_max(n_max) -> None:
+    # before any allocation: a table's memory grows with n_max
+    _check_int("n_max", n_max, 0)
+    if n_max > MAX_EXACT_N:
+        raise DomainError(f"exact tables stop at n_max = {MAX_EXACT_N}, got {n_max}")
+
+
+def _running_sum(counts: np.ndarray, p: int) -> None:
+    # One pass of counts[i] += counts[i - p] for ascending i, in place, so
+    # part p may repeat and orderings are not counted.  Laid out as rows of
+    # length p, that pass adds each finished row into the next: a running
+    # sum down the columns, then one slice add for the short last row.
+    n = counts.shape[0]
+    full = n // p * p
+    head = counts[:full].reshape(-1, p)
+    np.add.accumulate(head, axis=0, out=head)
+    counts[full:] += counts[full - p : n - p]
+
+
 def _unbounded_dp(n_max: int, parts: list) -> list:
-    # One pass per part of counts[i] += counts[i - p] for ascending i, so
-    # each part may repeat and orderings are not counted.  Laid out as rows
-    # of length p, that pass adds each finished row into the next: a running
-    # sum down the columns, then one slice add for the short last row.  The
-    # object dtype makes numpy apply Python's int +, so the counts are the
-    # same exact ints the scalar loop gives.
-    counts = np.zeros(n_max + 1, dtype=object)
-    counts[0] = 1
+    # Each count is held as base-2^width digits, one uint64 array (limb) per
+    # digit, lowest first.  No-overflow invariant: every digit is below
+    # 2^width before a pass, and a pass sums at most n_max + 1 digits, so
+    # every sum stays below (n_max + 1) * 2^width < 2^63; the carry into the
+    # next limb adds less than n_max + 1 < 2^31 more.  After each pass the
+    # carries bring every digit back below 2^width; a new limb opens only
+    # when the top one carries out.  The uint64 scalars keep numpy's type
+    # promotion from turning a shift or mask into float64.
+    width = 63 - (n_max + 1).bit_length()
+    shift = np.uint64(width)
+    mask = np.uint64((1 << width) - 1)
+    limbs = [np.zeros(n_max + 1, dtype=np.uint64)]
+    limbs[0][0] = 1
     for p in parts:
-        full = (n_max + 1) // p * p
-        head = counts[:full].reshape(-1, p)
-        np.add.accumulate(head, axis=0, out=head)
-        counts[full:] += counts[full - p : n_max + 1 - p]
+        for limb in limbs:
+            _running_sum(limb, p)
+        for low, high in zip(limbs, limbs[1:]):
+            high += low >> shift
+            low &= mask
+        carry = limbs[-1] >> shift
+        if carry.any():
+            limbs[-1] &= mask
+            limbs.append(carry)
+    counts = limbs.pop().astype(object)
+    while limbs:
+        counts <<= width
+        counts += limbs.pop()
     return counts.tolist()
 
 
 def count_s_partitions_table(n_max: int) -> CountTable:
     """Exact table of p_s(0..n_max): partitions into parts 2^k - 1, k >= 1.
 
-    Runs in O(n_max log n_max) big-integer additions, one numpy pass per
-    part.  On a 2-vCPU Xeon with CPython 3.11, n_max = 10^5 takes about
-    0.05 s and n_max = 10^6 about 1 s.
+    One numpy pass per part over fixed-width uint64 digits, so
+    O(n_max log n_max) machine additions per digit; the digits become
+    Python ints once, at the end.  On a 2-vCPU Xeon with CPython 3.11 and
+    numpy 2.4, n_max = 10^5 takes about 15-25 ms and n_max = 10^6 about
+    0.3-0.6 s.  Raises DomainError past MAX_EXACT_N.
     """
-    _check_int("n_max", n_max, 0)
+    _check_n_max(n_max)
     return CountTable(n_max, _unbounded_dp(n_max, mersenne_parts_upto(n_max)))
 
 
@@ -105,9 +141,9 @@ def count_binary_partitions_table(n_max: int) -> CountTable:
     into a partition of m.  That is n_max/2 big-integer additions, and
     b(2m) and b(2m + 1) share one int object.  On a 2-vCPU Xeon with
     CPython 3.11, n_max = 10^5 takes about 5 ms and n_max = 10^6
-    0.05-0.07 s.
+    0.05-0.07 s.  Raises DomainError past MAX_EXACT_N.
     """
-    _check_int("n_max", n_max, 0)
+    _check_n_max(n_max)
     counts = [1, 1]
     append = counts.append
     for m in range(1, n_max // 2 + 1):

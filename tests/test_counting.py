@@ -4,6 +4,7 @@ import random
 import time
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,8 @@ from spartitions import (
     ln_count,
     mersenne_parts_upto,
 )
-from spartitions.counting import BRUTE_FORCE_LIMIT
+from spartitions import counting
+from spartitions.counting import BRUTE_FORCE_LIMIT, MAX_EXACT_N
 
 # (builder, offset): the family's parts are 2^k - offset <= n_max, k >= offset
 FAMILIES = ((count_s_partitions_table, 1), (count_binary_partitions_table, 0))
@@ -42,6 +44,20 @@ def _loop_dp(n_max, parts):
         for i in range(p, n_max + 1):
             counts[i] += counts[i - p]
     return counts
+
+
+def _object_dp(n_max, parts):
+    # the object-dtype running sum the uint64 limbs replaced, kept as their
+    # oracle: the same rows-of-length-p layout, with numpy applying Python's
+    # int + so no digit can wrap
+    counts = np.zeros(n_max + 1, dtype=object)
+    counts[0] = 1
+    for p in parts:
+        full = (n_max + 1) // p * p
+        head = counts[:full].reshape(-1, p)
+        np.add.accumulate(head, axis=0, out=head)
+        counts[full:] += counts[full - p : n_max + 1 - p]
+    return counts.tolist()
 
 
 def _powers_of_two_upto(n):
@@ -99,11 +115,42 @@ def test_table_matches_loop_oracle_at_row_edges(build, offset):
         assert build(n_max).counts == _loop_dp(n_max, _family_parts(n_max, offset)), n_max
 
 
+@pytest.mark.parametrize("n_max, limbs", [(9710, 1), (9711, 2), (9712, 2),
+                                           (16382, 2), (16383, 2), (16384, 2)])
+def test_table_matches_loop_oracle_at_limb_edges(n_max, limbs):
+    # the digits are 63 - bit_length(n_max + 1) bits wide: 49 up to
+    # n_max = 16382 and 48 from 16383; p_s(9711) is the first count that
+    # needs a second digit
+    width = 63 - (n_max + 1).bit_length()
+    counts = count_s_partitions_table(n_max).counts
+    assert -(-counts[-1].bit_length() // width) == limbs
+    assert counts == _loop_dp(n_max, mersenne_parts_upto(n_max))
+
+
+def test_limb_digits_never_wrap():
+    # k passes of the part 1 are k prefix sums, so every digit of every
+    # entry is summed into the last one: the no-overflow bound of the digit
+    # width is nearly reached.  The counts are comb(n + k - 1, k - 1), up
+    # to 318 bits here
+    n_max, k = 4095, 40
+    expected = [math.comb(n + k - 1, k - 1) for n in range(n_max + 1)]
+    assert counting._unbounded_dp(n_max, [1] * k) == expected
+
+
+def test_table_matches_object_oracle_at_the_limit():
+    # three digits of 43 bits from n = 121030; p_s(10^6) has 127 bits
+    counts = count_s_partitions_table(MAX_EXACT_N).counts
+    assert counts[121029].bit_length() == 86 and counts[121030].bit_length() == 87
+    assert counts == _object_dp(MAX_EXACT_N, mersenne_parts_upto(MAX_EXACT_N))
+
+
 @pytest.mark.parametrize("build, offset", FAMILIES)
 def test_table_entries_are_python_ints(build, offset):
-    table = build(5000)
-    assert type(table.counts) is list
-    assert all(type(c) is int for c in table.counts)
+    # the p_s digits: 5000 fits one, 2*10^4 needs two
+    for n_max in (5000, DIGEST_N):
+        table = build(n_max)
+        assert type(table.counts) is list
+        assert all(type(c) is int for c in table.counts)
 
 
 @pytest.mark.parametrize("build, expected", [(count_s_partitions_table, S_DIGEST),
@@ -281,6 +328,20 @@ def test_negative_inputs_rejected():
     ]:
         with pytest.raises(DomainError):
             call(arg)
+
+
+def test_tables_stop_at_the_exact_limit():
+    # refused before anything is allocated: at 2^40 numpy would raise
+    # MemoryError and the binary list would grow until memory ran out
+    for n_max in (MAX_EXACT_N + 1, 2 ** 40):
+        # cumulative_P(u) builds the table to u - 1
+        for call, arg in ((count_s_partitions_table, n_max),
+                          (count_binary_partitions_table, n_max),
+                          (cumulative_P, n_max + 1)):
+            start = time.perf_counter()
+            with pytest.raises(DomainError):
+                call(arg)
+            assert time.perf_counter() - start < 0.1
 
 
 def test_bool_table_size_rejected():

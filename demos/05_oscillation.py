@@ -11,12 +11,12 @@ from spartitions import sawtooth_log_integral_series, sawtooth_log_integral, w_o
 
 LN2 = math.log(2.0)
 
-print("Fourier form vs direct quadrature of int_1^u f(v)/v dv:")
+print("Fourier form vs closed form ln2*y(1-y)/2 of int_1^u f(v)/v dv:")
 for u in (2.0, 3.0, 5.0, 8.0, 10.0):
     series = sawtooth_log_integral_series(u, 10 ** 4)
-    direct = sawtooth_log_integral(u, tol=1e-10)
-    print(f"  u={u:>4g}: series={series:+.8f} quadrature={direct:+.8f} "
-          f"diff={series - direct:+.1e}")
+    closed = sawtooth_log_integral(u, tol=1e-10)
+    print(f"  u={u:>4g}: series={series:+.8f} closed form={closed:+.8f} "
+          f"diff={series - closed:+.1e}")
 
 print("\nW(z) over one period (64 samples condensed to 8):")
 for j in range(8):

@@ -120,24 +120,20 @@ def _remainder_R(u) -> float:
     return math.log1p(1.0 / u) / LN2 + sawtooth_f(u + 1)
 
 
-def _dyadic_breakpoints(lo: float, hi: float) -> list:
-    pts = []
-    k = math.ceil(math.log2(lo))
-    while 2.0 ** k < hi:
-        if 2.0 ** k > lo:
-            pts.append(2.0 ** k)
-        k += 1
-    return pts
-
-
 def sawtooth_log_integral(u: float, tol: float = 1e-10) -> float:
-    """Integral of f(v)/v over [1, u] by quadrature split at powers of 2."""
+    """Integral of f(v)/v over [1, u], exact: ln2 y(1 - y)/2.
+
+    With v = 2^(k+x) every octave integrates to 0, which leaves
+    ln2 * integral over [0, y] of (1/2 - x) dx at the fractional part y of
+    log2 u.  y is log2 of the doubled frexp mantissa, so it never cancels
+    against the exponent and is exactly 0 at every power of two.  tol is
+    only checked, as for tail_integral_I.
+    """
     _check_float_x(u, "sawtooth_log_integral")
-    if u == 1:
-        return 0.0
-    res = integrate_adaptive(lambda v: sawtooth_f(v) / v, 1.0, float(u),
-                             tol=tol, breakpoints=_dyadic_breakpoints(1.0, u))
-    return res.value
+    _check_tol(tol, "sawtooth_log_integral")
+    m, _ = math.frexp(u)
+    y = math.log2(2.0 * m)
+    return LN2 * y * (1.0 - y) / 2.0
 
 
 def alpha_constant(tol: float = 1e-8) -> float:
@@ -333,7 +329,6 @@ def ln_ps_estimate(n: int, tol: float = 1e-8, nu_max: int = 16) -> AsymptoticBre
     - lnln(n+1) + lnln2, the same combination that is squared in the
     leading term.
     """
-    if n < 2:
-        raise DomainError(f"estimate needs n >= 2, got {n}")
+    _check_int("n", n, 2)
     params = AsymptoticParams(b=-0.5, c=c_constant(tol))
     return ln_Ph_estimate(n + 1, params, tol, nu_max)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .counting import MAX_EXACT_N, CountTable, count_s_partitions_table, ln_count
-from .errors import DomainError
+from .errors import DomainError, _check_int
 
 __all__ = ["AuditRecord", "AuditSummary", "bhatt_bound", "audit_scan", "summarize",
            "run_audit"]
@@ -69,7 +69,8 @@ def bhatt_bound(n: int) -> int:
 
 def audit_scan(n_max: int, table: CountTable | None = None) -> Iterator[AuditRecord]:
     """Stream AuditRecords for n = 1..n_max against one shared DP table."""
-    if not 1 <= n_max <= MAX_EXACT_N:
+    _check_int("n_max", n_max, 1)
+    if n_max > MAX_EXACT_N:
         raise DomainError(f"scan supports 1 <= n_max <= {MAX_EXACT_N}, got {n_max}")
     if table is None or table.n_max < n_max:
         table = count_s_partitions_table(n_max)
@@ -87,7 +88,7 @@ def summarize(records: Iterable[AuditRecord]) -> AuditSummary:
     n_max = 0
     first = None
     violations = 0
-    best_ratio = 0.0
+    best_exact, best_bound = 0, 1
     best_n = 1
     monotone = True
     prev_bound = None
@@ -97,14 +98,17 @@ def summarize(records: Iterable[AuditRecord]) -> AuditSummary:
             violations += 1
             if first is None:
                 first = rec.n
-        # exact/bound through logs; both sides can exceed float range
-        ratio = math.exp(ln_count(rec.exact) - ln_count(rec.bound))
-        if ratio > best_ratio:
-            best_ratio, best_n = ratio, rec.n
+        # exact/bound > best_exact/best_bound, cross-multiplied in ints, so
+        # a tie keeps the first n
+        if rec.exact * best_bound > best_exact * rec.bound:
+            best_exact, best_bound, best_n = rec.exact, rec.bound, rec.n
         if rec.n >= 16:
             if prev_bound is not None and rec.bound < prev_bound:
                 monotone = False
             prev_bound = rec.bound
+    # through logs once: both sides can exceed the float range
+    best_ratio = (math.exp(ln_count(best_exact) - ln_count(best_bound))
+                  if best_exact else 0.0)
     return AuditSummary(n_max, first, violations, best_ratio, best_n, monotone)
 
 

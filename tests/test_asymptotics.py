@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import mpmath
 import numpy as np
@@ -241,6 +243,61 @@ def test_sawtooth_integral_against_closed_form():
                    - closed_sawtooth_integral(u)) <= 1e-9, u
 
 
+def quadrature_sawtooth_integral(u, tol=1e-10):
+    # the library's former route: adaptive quadrature of f(v)/v over [1, u]
+    # split at the powers of two inside it (u > 1)
+    breakpoints = [2.0 ** k for k in range(1, 64) if 2.0 ** k < u]
+    return integrate_adaptive(lambda v: sawtooth_f(v) / v, 1.0, float(u),
+                              tol=tol, breakpoints=breakpoints).value
+
+
+def test_sawtooth_integral_matches_mpmath():
+    rng = random.Random(2011)
+    us = [10.0 ** rng.uniform(0.0, 300.0) for _ in range(2000)]
+    us += [1.0, 1.5, 3.0, math.sqrt(2.0), 1e300, 2.0 ** 996 * (2.0 - 2.0 ** -52)]
+    with mpmath.workdps(40):
+        ln2 = mpmath.log(2)
+        for u in us:
+            x = mpmath.log(mpmath.mpf(u), 2)
+            y = x - mpmath.floor(x)
+            ref = ln2 * y * (1 - y) / 2
+            assert abs(sawtooth_log_integral(u) - ref) <= 1e-16, u
+
+
+def test_sawtooth_integral_vanishes_at_powers_of_two():
+    for k in range(1001):
+        assert sawtooth_log_integral(2.0 ** k) == 0.0, k
+        assert sawtooth_log_integral(2 ** k) == 0.0, k
+
+
+def test_sawtooth_integral_against_quadrature_oracle():
+    rng = random.Random(7)
+    us = [10.0 ** rng.uniform(0.0, 10.0) for _ in range(40)]
+    for u in us + [1.5, 2.0, 3.0, 7.3, 1024.0, 1e10]:
+        assert abs(sawtooth_log_integral(u) - quadrature_sawtooth_integral(u)) <= 1e-13, u
+
+
+def test_sawtooth_integral_checks_tol_only():
+    value = sawtooth_log_integral(3.0)
+    for tol in (1e-10, 1e-6, 1, 1.0, np.float64(0.5), 1e300):
+        assert sawtooth_log_integral(3.0, tol) == value, tol
+    for tol in (1e-12, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sawtooth_log_integral(3.0, tol)
+
+
+def test_sawtooth_integral_reaches_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(asymptotics, "integrate_adaptive", refuse)
+    for u in (1.0, 3.0, 1e10, 1e300, 10 ** 300):
+        sawtooth_log_integral(u)
+    start = time.perf_counter()
+    sawtooth_log_integral(1e300)
+    assert time.perf_counter() - start < 1e-3
+
+
 def test_middle_integral_is_zero():
     res = integrate_adaptive(lambda v: sawtooth_f(v) / v, 1.0, 2.0, tol=1e-11)
     assert abs(res.value) <= 1e-10
@@ -436,6 +493,11 @@ def test_estimate_domain_errors():
             ln_ps_estimate(n)
         with pytest.raises(DomainError):
             ln_Ph_estimate(n, binary_partition_params(1e-8))
+    # n must be an int: a float such as 2.5 would give an estimate at a
+    # non-integer n, and a str or None would reach a comparison's TypeError
+    for n in ("x", None, 2.5, 4096.0, True):
+        with pytest.raises(DomainError):
+            ln_ps_estimate(n)
     with pytest.raises(DomainError):
         ln_ps_estimate(4096, 1e-8, 2.5)
     for tol in (1e-11, math.nan, math.inf):
@@ -454,6 +516,8 @@ def test_estimate_domain_errors():
     pytest.param(lambda tol: (alpha_constant(1.0), alpha_constant(tol)), True,
                  id="alpha-bool-after-float"),
     pytest.param(alpha_constant, [1e-8], id="alpha-unhashable"),
+    pytest.param(lambda tol: sawtooth_log_integral(3.0, tol), "1e-10", id="sawtooth-str"),
+    pytest.param(lambda tol: sawtooth_log_integral(3.0, tol), True, id="sawtooth-bool"),
 ])
 def test_tol_must_be_a_real_number(call, tol):
     with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,14 @@ def test_scan_bounds():
         list(audit_scan(0))
     with pytest.raises(DomainError):
         list(audit_scan(10 ** 6 + 1))
+    # n_max must be an int: True would audit n = 1, and a float or str
+    # would reach range(...)'s or the comparison's TypeError
+    table = count_s_partitions_table(10)
+    for n_max in (5.0, "5", True, None):
+        with pytest.raises(DomainError):
+            list(audit_scan(n_max))
+        with pytest.raises(DomainError):
+            run_audit(n_max, table)
 
 
 def test_no_violation_below_3000():
@@ -108,3 +117,18 @@ def test_max_ratio_tracks_scan(table500):
         for rec in audit_scan(500, table500)
     )
     assert abs(summary.max_ratio - best) <= 1e-12 * best
+
+
+def test_max_ratio_tie_keeps_the_first_n(table500):
+    # exact/bound is exactly 1/2 at n = 1, 3 and 7 and below 1/2 at every
+    # other n < 3463; the fold compares ratios exactly, so n = 1 holds the
+    # maximum and the reported ratio is 1/2 itself
+    ratios = {rec.n: Fraction(rec.exact, rec.bound) for rec in audit_scan(500, table500)}
+    assert [n for n, r in ratios.items() if r == Fraction(1, 2)] == [1, 3, 7]
+    assert max(ratios.values()) == Fraction(1, 2)
+    for n_max in (1, 3, 7, 8, 500):
+        summary = run_audit(n_max, table500)
+        assert (summary.max_ratio_n, summary.max_ratio) == (1, 0.5), n_max
+    table = count_s_partitions_table(3463)
+    assert run_audit(3462, table).max_ratio_n == 1
+    assert run_audit(3463, table).max_ratio_n == 3463

@@ -74,11 +74,21 @@ gamma_complex = lru_cache(maxsize=_W_FREQS)(specfun.gamma_complex)
 zeta_complex = lru_cache(maxsize=_W_FREQS)(specfun.zeta_complex)
 
 
+def _is_real(x) -> bool:
+    """True for a real number that is not a bool."""
+    # a str or None would raise TypeError in a comparison, and a bool
+    # would pass as 0 or 1.  float and int are tested first: the estimates
+    # check on every call, and the ABC isinstance costs ten times the
+    # comparison
+    return (type(x) is float or type(x) is int
+            or not isinstance(x, bool) and isinstance(x, numbers.Real))
+
+
 def _check_float_x(x, name: str) -> None:
-    """DomainError unless 1 <= x and x converts to a finite float; an
-    exact int passes 1 <= x < inf even past the float range."""
-    if not 1 <= x < math.inf:
-        raise DomainError(f"{name} needs finite x >= 1, got {x}")
+    """DomainError unless x is real, 1 <= x and x converts to a finite
+    float; an exact int passes 1 <= x < inf even past the float range."""
+    if not (_is_real(x) and 1 <= x < math.inf):
+        raise DomainError(f"{name} needs finite x >= 1, got {x!r}")
     try:
         if float(x) < math.inf:
             return
@@ -90,12 +100,7 @@ def _check_float_x(x, name: str) -> None:
 def _check_tol(tol, name: str) -> None:
     """DomainError unless tol is a real number, not a bool, with
     _MIN_TOL <= tol < inf (NaN fails too)."""
-    # a str or None would raise TypeError in the comparison, and a bool
-    # would pass as 0 or 1.  float is tested first: the estimates check tol
-    # on every call, and the ABC isinstance costs ten times the comparison
-    real = type(tol) is float or (not isinstance(tol, bool)
-                                  and isinstance(tol, numbers.Real))
-    if not (real and _MIN_TOL <= tol < math.inf):
+    if not (_is_real(tol) and _MIN_TOL <= tol < math.inf):
         raise DomainError(f"{name} needs {_MIN_TOL:g} <= tol < inf, got {tol!r}")
 
 
@@ -216,8 +221,8 @@ def sawtooth_log_integral_series(u: float, nu_max: int = 10_000) -> float:
     with the +-nu terms paired into cosines.  Truncation error is below
     (ln2 / (2 pi^2)) / nu_max.
     """
-    if not 1 <= u < math.inf:
-        raise DomainError(f"needs finite u >= 1, got {u}")
+    if not (_is_real(u) and 1 <= u < math.inf):
+        raise DomainError(f"sawtooth series needs finite u >= 1, got {u!r}")
     _check_int("nu_max", nu_max, 1)
     x = math.log2(u)
     nu = np.arange(1, nu_max + 1, dtype=float)
@@ -259,8 +264,12 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     there, far below double noise.
     """
     _check_int("nu_max", nu_max, 1)
-    if not math.isfinite(z):
-        raise DomainError(f"needs a finite z, got {z}")
+    try:
+        finite = _is_real(z) and math.isfinite(z)
+    except OverflowError:  # an exact int past the float range
+        finite = False
+    if not finite:
+        raise DomainError(f"W needs a finite real z, got {z!r}")
     total = 0.0 + 0.0j
     for nu in range(1, nu_max + 1):
         t = 2.0 * math.pi * nu / LN2
@@ -307,8 +316,10 @@ def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = 1e-8,
                    nu_max: int = 16) -> AsymptoticBreakdown:
     """Assemble the ln P_h(u) estimate of a dyadic family for finite u > e.
     An exact int u may lie beyond the float range."""
-    if not math.e < u < math.inf:
-        raise DomainError(f"estimate needs finite u > e, got {u}")
+    if not (_is_real(u) and math.e < u < math.inf):
+        raise DomainError(f"estimate needs finite u > e, got {u!r}")
+    if not isinstance(params, AsymptoticParams):
+        raise DomainError(f"estimate needs AsymptoticParams, got {params!r}")
     lu = math.log(u)
     arg = lu - math.log(lu) - math.log(A)
     quad_term = 0.5 * A * arg * arg

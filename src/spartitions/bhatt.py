@@ -67,17 +67,39 @@ def bhatt_bound(n: int) -> int:
     return total
 
 
+def _bounds(n_max: int) -> Iterator[int]:
+    """bhatt_bound(1), ..., bhatt_bound(n_max) in order, O(1) per n.
+
+    From n - 1 to n the summand sum changes only where a summand appears
+    (n a power of two) or where x = n - 3i reaches a power of two 2^k, so
+    only at n = 2^k + 3i with k, i < bit_length(n_max).  There the
+    bound is evaluated in full; elsewhere only floor(n/3) can grow.
+    """
+    width = n_max.bit_length()
+    events = {(1 << k) + 3 * i for k in range(width) for i in range(width)}
+    bound = 0  # n = 1 = 2^0 is an event
+    for n in range(1, n_max + 1):
+        if n in events:
+            bound = bhatt_bound(n)
+        elif n % 3 == 0:
+            bound += 1
+        yield bound
+
+
 def audit_scan(n_max: int, table: CountTable | None = None) -> Iterator[AuditRecord]:
-    """Stream AuditRecords for n = 1..n_max against one shared DP table."""
+    """Stream AuditRecords for n = 1..n_max against one shared DP table.
+
+    The bound costs O(1) per n: the full formula runs at most
+    bit_length(n_max)^2 times over the scan (_bounds).
+    """
     _check_int("n_max", n_max, 1)
     if n_max > MAX_EXACT_N:
         raise DomainError(f"scan supports 1 <= n_max <= {MAX_EXACT_N}, got {n_max}")
     if table is None or table.n_max < n_max:
         table = count_s_partitions_table(n_max)
     counts = table.counts
-    for n in range(1, n_max + 1):
+    for n, bound in enumerate(_bounds(n_max), 1):
         exact = counts[n]
-        bound = bhatt_bound(n)
         yield AuditRecord(n, exact, bound, exact > bound)
 
 

@@ -227,6 +227,11 @@ def test_sawtooth_family_rejects_non_finite(fn, x):
         # the series takes log2 of the int and stays in its domain
         with pytest.raises(DomainError):
             fn(10 ** 400)
+    # a bool would pass as 0 or 1, and a str or None would reach a
+    # comparison's TypeError
+    for bad in (True, "3", None):
+        with pytest.raises(DomainError):
+            fn(bad)
 
 
 def test_series_domain():
@@ -419,9 +424,13 @@ def test_w_nu_max_insensitive():
             w_oscillation(0.1, nu_max)
         with pytest.raises(DomainError):
             w_oscillation_complex(0.1, nu_max)
-    for z in (math.nan, math.inf, -math.inf):
+    # a bool would pass as 0 or 1, a str or None would reach isfinite's
+    # TypeError, and an int past the float range its OverflowError
+    for z in (math.nan, math.inf, -math.inf, True, "x", None, 10 ** 400):
         with pytest.raises(DomainError):
             w_oscillation(z)
+        with pytest.raises(DomainError):
+            w_oscillation_complex(z)
 
 
 def test_generic_estimate_matches_mersenne_wrapper():
@@ -488,6 +497,14 @@ def test_estimate_domain_errors():
         ln_ps_estimate(1)
     with pytest.raises(DomainError):
         ln_Ph_estimate(2.0, mersenne_params(1e-8))
+    # a str or None u would reach a comparison's TypeError, and params
+    # without b and c an AttributeError
+    for u in ("x", None, True):
+        with pytest.raises(DomainError):
+            ln_Ph_estimate(u, binary_partition_params(1e-8))
+    for params in (None, (0.5, LN2 / 12.0)):
+        with pytest.raises(DomainError):
+            ln_Ph_estimate(100.0, params)
     for n in (math.nan, math.inf):
         with pytest.raises(DomainError):
             ln_ps_estimate(n)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from spartitions import bhatt
 from spartitions import (
     DomainError,
     audit_scan,
@@ -52,6 +53,35 @@ def test_bound_monotone():
         value = bhatt_bound(n)
         assert value >= previous, n
         previous = value
+
+
+def test_incremental_bounds_match_the_formula():
+    n_max = 2 * 10 ** 5
+    formula = [bhatt_bound(n) for n in range(1, n_max + 1)]
+    assert list(bhatt._bounds(n_max)) == formula
+    # every short scan, and scans that stop at or just past a power of two,
+    # where a summand appears or one of x = n - 3i crosses 2^k
+    ends = set(range(1, 301))
+    for k in range(2, 17):
+        ends.update((2 ** k - 1, 2 ** k, 2 ** k + 1, 2 ** k + 3))
+    for end in sorted(ends):
+        assert list(bhatt._bounds(end)) == formula[:end], end
+
+
+def test_scan_evaluates_the_formula_rarely(monkeypatch):
+    calls = []
+    formula = bhatt.bhatt_bound
+
+    def counting_bound(n):
+        calls.append(n)
+        return formula(n)
+
+    monkeypatch.setattr(bhatt, "bhatt_bound", counting_bound)
+    n_max = 10 ** 5
+    table = count_s_partitions_table(n_max)
+    for _ in audit_scan(n_max, table):
+        pass
+    assert 0 < len(calls) <= n_max.bit_length() ** 2
 
 
 def test_scan_record_at_8(table500):

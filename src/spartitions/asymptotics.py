@@ -22,14 +22,13 @@ c + a I and only b and c vary.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import specfun
-from .errors import AccuracyError, DomainError, _check_int
+from .errors import AccuracyError, DomainError, _check_int, _is_finite_real, _is_real
 from .quadrature import integrate_adaptive
 from .specfun import IM_BAND
 
@@ -72,16 +71,6 @@ _W_FREQS = int(IM_BAND * LN2 / (2.0 * math.pi))
 # specfun functions themselves stay unmemoized
 gamma_complex = lru_cache(maxsize=_W_FREQS)(specfun.gamma_complex)
 zeta_complex = lru_cache(maxsize=_W_FREQS)(specfun.zeta_complex)
-
-
-def _is_real(x) -> bool:
-    """True for a real number that is not a bool."""
-    # a str or None would raise TypeError in a comparison, and a bool
-    # would pass as 0 or 1.  float and int are tested first: the estimates
-    # check on every call, and the ABC isinstance costs ten times the
-    # comparison
-    return (type(x) is float or type(x) is int
-            or not isinstance(x, bool) and isinstance(x, numbers.Real))
 
 
 def _check_float_x(x, name: str) -> None:
@@ -264,11 +253,7 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     there, far below double noise.
     """
     _check_int("nu_max", nu_max, 1)
-    try:
-        finite = _is_real(z) and math.isfinite(z)
-    except OverflowError:  # an exact int past the float range
-        finite = False
-    if not finite:
+    if not _is_finite_real(z):
         raise DomainError(f"W needs a finite real z, got {z!r}")
     total = 0.0 + 0.0j
     for nu in range(1, nu_max + 1):
@@ -320,6 +305,8 @@ def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = 1e-8,
         raise DomainError(f"estimate needs finite u > e, got {u!r}")
     if not isinstance(params, AsymptoticParams):
         raise DomainError(f"estimate needs AsymptoticParams, got {params!r}")
+    if not (_is_finite_real(params.b) and _is_finite_real(params.c)):
+        raise DomainError(f"estimate needs finite real b and c, got {params!r}")
     lu = math.log(u)
     arg = lu - math.log(lu) - math.log(A)
     quad_term = 0.5 * A * arg * arg

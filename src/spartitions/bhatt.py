@@ -15,9 +15,9 @@ audit's conclusion intact because the count/bound gap is asymptotic.
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .counting import MAX_EXACT_N, CountTable, count_s_partitions_table, ln_count
+from .counting import CountTable, _check_s_table, count_s_partitions_table, ln_count
 from .errors import DomainError, _check_int
 
 __all__ = ["AuditRecord", "AuditSummary", "bhatt_bound", "audit_scan", "summarize",
@@ -33,8 +33,7 @@ TERM_CONVENTION = (
 _POW: dict[int, int] = {}
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     n: int
     exact: int
     bound: int
@@ -90,11 +89,12 @@ def audit_scan(n_max: int, table: CountTable | None = None) -> Iterator[AuditRec
     """Stream AuditRecords for n = 1..n_max against one shared DP table.
 
     The bound costs O(1) per n: the full formula runs at most
-    bit_length(n_max)^2 times over the scan (_bounds).
+    bit_length(n_max)^2 times over the scan (_bounds).  A table must be
+    a Mersenne CountTable; one too short, or none, is built, so an n_max
+    past the exact-table limit raises DomainError in the builder.
     """
     _check_int("n_max", n_max, 1)
-    if n_max > MAX_EXACT_N:
-        raise DomainError(f"scan supports 1 <= n_max <= {MAX_EXACT_N}, got {n_max}")
+    _check_s_table(table)
     if table is None or table.n_max < n_max:
         table = count_s_partitions_table(n_max)
     counts = table.counts
@@ -107,31 +107,30 @@ def summarize(records: Iterable[AuditRecord]) -> AuditSummary:
     """Fold an audit scan into its summary: minimal violating n (or None)
     and the largest exact/bound ratio observed.  n_max is the n of the
     last record."""
-    n_max = 0
+    n = 0  # after the loop, the n of the last record
     first = None
     violations = 0
     best_exact, best_bound = 0, 1
     best_n = 1
     monotone = True
     prev_bound = None
-    for rec in records:
-        n_max = rec.n
-        if rec.violated:
+    for n, exact, bound, violated in records:
+        if violated:
             violations += 1
             if first is None:
-                first = rec.n
+                first = n
         # exact/bound > best_exact/best_bound, cross-multiplied in ints, so
         # a tie keeps the first n
-        if rec.exact * best_bound > best_exact * rec.bound:
-            best_exact, best_bound, best_n = rec.exact, rec.bound, rec.n
-        if rec.n >= 16:
-            if prev_bound is not None and rec.bound < prev_bound:
+        if exact * best_bound > best_exact * bound:
+            best_exact, best_bound, best_n = exact, bound, n
+        if n >= 16:
+            if prev_bound is not None and bound < prev_bound:
                 monotone = False
-            prev_bound = rec.bound
+            prev_bound = bound
     # through logs once: both sides can exceed the float range
     best_ratio = (math.exp(ln_count(best_exact) - ln_count(best_bound))
                   if best_exact else 0.0)
-    return AuditSummary(n_max, first, violations, best_ratio, best_n, monotone)
+    return AuditSummary(n, first, violations, best_ratio, best_n, monotone)
 
 
 def run_audit(n_max: int, table: CountTable | None = None) -> AuditSummary:

@@ -1,9 +1,8 @@
 """Exact partition counting for Mersenne parts (2^k - 1) and powers of two.
 
 All counts are exact Python integers; nothing here ever rounds.  The
-natural log of a count is recovered from the exact integer via
-:func:`ln_count`, which splits off the high bits so that arbitrarily
-large counts convert without overflow.
+natural log of a count is :func:`ln_count`, math.log of the exact integer,
+which converts arbitrarily large counts without overflow.
 """
 
 from dataclasses import dataclass
@@ -28,15 +27,17 @@ BRUTE_FORCE_LIMIT = 300
 # and 113 MB, and the cost grows faster than n.  It also keeps n_max + 1
 # below 2^31, which the limb width of _unbounded_dp needs
 MAX_EXACT_N = 10 ** 6
-_LN2 = log(2.0)
 
 
 @dataclass(frozen=True)
 class CountTable:
-    """Exact counts indexed 0..n_max for a fixed part set."""
+    """Exact counts indexed 0..n_max for a fixed part set, built only by
+    count_s_partitions_table (parts "mersenne") and
+    count_binary_partitions_table (parts "binary")."""
 
     n_max: int
     counts: list  # counts[n] = number of partitions of n
+    parts: str
 
     def __getitem__(self, n: int) -> int:
         # type, not isinstance: a bool would index counts[0] or counts[1]
@@ -68,6 +69,14 @@ def mersenne_parts_upto(n: int) -> list:
         parts.append((1 << k) - 1)
         k += 1
     return parts
+
+
+def _check_s_table(table) -> None:
+    """DomainError unless table is None or a CountTable of Mersenne parts."""
+    if not (table is None or isinstance(table, CountTable) and table.parts == "mersenne"):
+        kind = (f"{table.parts} parts" if isinstance(table, CountTable)
+                else type(table).__name__)
+        raise DomainError(f"needs a CountTable of Mersenne parts, got {kind}")
 
 
 def _check_n_max(n_max) -> None:
@@ -130,7 +139,7 @@ def count_s_partitions_table(n_max: int) -> CountTable:
     0.3-0.6 s.  Raises DomainError past MAX_EXACT_N.
     """
     _check_n_max(n_max)
-    return CountTable(n_max, _unbounded_dp(n_max, mersenne_parts_upto(n_max)))
+    return CountTable(n_max, _unbounded_dp(n_max, mersenne_parts_upto(n_max)), "mersenne")
 
 
 def count_binary_partitions_table(n_max: int) -> CountTable:
@@ -151,7 +160,7 @@ def count_binary_partitions_table(n_max: int) -> CountTable:
         append(b)
         append(b)
     del counts[n_max + 1:]
-    return CountTable(n_max, counts)
+    return CountTable(n_max, counts, "binary")
 
 
 def brute_force_count(n: int) -> int:
@@ -191,22 +200,16 @@ def cumulative_P(u: int, table: CountTable | None = None) -> int:
     so consecutive differences give back the plain counts.
     """
     _check_int("u", u, 1)
+    _check_s_table(table)
     if table is None or table.n_max < u - 1:
         table = count_s_partitions_table(u - 1)
     return table.cumulative(u)
 
 
 def ln_count(value: int) -> float:
-    """ln of an exact positive integer via bit-length plus mantissa.
-
-    A value of at most 64 bits goes to log whole; a longer one keeps only
-    its top 64 bits and adds back the shift times ln 2, so the result is
-    exact to ~1e-15 relative regardless of how many digits the count has.
-    """
-    # _check_int inlined: the audit calls this twice per n
+    """ln of an exact positive integer, to ~2e-16 relative at any size:
+    math.log takes an int of any length without overflow."""
+    # _check_int inlined: a scan through CountTable.ln calls this once per n
     if type(value) is not int or value < 1:
         raise DomainError(f"ln_count requires a positive int, got {value!r}")
-    shift = value.bit_length() - 64
-    if shift <= 0:
-        return log(value)
-    return log(value >> shift) + shift * _LN2
+    return log(value)

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the integer-argument
-check that raises one."""
+"""Exception types shared across the package, and the argument checks
+that decide when to raise one."""
+
+import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -28,3 +31,21 @@ def _check_int(name: str, value, low: int | None = None) -> None:
     if type(value) is not int or low is not None and value < low:
         floor = "" if low is None else f" >= {low}"
         raise DomainError(f"{name} must be an int{floor}, got {value!r}")
+
+
+def _is_real(x) -> bool:
+    """True for a real number that is not a bool."""
+    # a str or None would raise TypeError in a comparison, and a bool
+    # would pass as 0 or 1.  float and int are tested first: the estimates
+    # check on every call, and the ABC isinstance costs ten times the
+    # comparison
+    return (type(x) is float or type(x) is int
+            or not isinstance(x, bool) and isinstance(x, numbers.Real))
+
+
+def _is_finite_real(x) -> bool:
+    """True for a real number, not a bool, that converts to a finite float."""
+    try:
+        return _is_real(x) and math.isfinite(x)
+    except OverflowError:  # an exact int past the float range
+        return False

@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _is_finite_real, _is_real
 
 __all__ = ["QuadratureResult", "integrate_adaptive"]
 
@@ -90,10 +90,10 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     budget of 4096 intervals is exhausted before the error estimate
     drops below tol.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-    if not -math.inf < a < b < math.inf:
-        raise DomainError(f"need finite a < b, got [{a}, {b}]")
+    if not (_is_real(tol) and 0.0 < tol < math.inf):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    if not (_is_finite_real(a) and _is_finite_real(b) and a < b):
+        raise DomainError(f"need finite real a < b, got [{a!r}, {b!r}]")
 
     points = [a] + [p for p in sorted(breakpoints) if a < p < b] + [b]
 

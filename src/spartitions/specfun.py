@@ -12,10 +12,11 @@ zeta_complex uses Euler-Maclaurin summation with a fixed Bernoulli tail.
 
 import cmath
 import math
+import numbers
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, _is_real
 
 __all__ = ["gamma_complex", "zeta_complex", "gamma_imag_axis_modulus"]
 
@@ -43,8 +44,11 @@ _B2K = (
 
 
 def _finite_complex(z, name: str) -> complex:
-    """z as a finite complex; DomainError for NaN/inf parts and for an int
-    too large for a float."""
+    """z as a finite complex; DomainError for a non-number (str, bytes,
+    None, bool), NaN/inf parts and an int too large for a float."""
+    # complex() would parse a str and take a bool as 0 or 1
+    if isinstance(z, bool) or not isinstance(z, numbers.Complex):
+        raise DomainError(f"{name} needs a number, got {z!r}")
     try:
         z = complex(z)
     except OverflowError:
@@ -89,8 +93,8 @@ def gamma_imag_axis_modulus(t: float) -> float:
     in (0, 1], so no intermediate leaves the float range; the value itself
     does below t ~ 5.6e-309, which raises DomainError.
     """
-    if not 0.0 < t <= IM_BAND:
-        raise DomainError(f"modulus identity needs finite 0 < t <= {IM_BAND:g}, got {t}")
+    if not (_is_real(t) and 0.0 < t <= IM_BAND):
+        raise DomainError(f"modulus identity needs finite 0 < t <= {IM_BAND:g}, got {t!r}")
     x = math.pi * t
     value = math.sqrt(x / math.sinh(x)) / t
     if value == math.inf:

@@ -505,6 +505,12 @@ def test_estimate_domain_errors():
     for params in (None, (0.5, LN2 / 12.0)):
         with pytest.raises(DomainError):
             ln_Ph_estimate(100.0, params)
+    # b and c are finite reals: NaN or inf would come out as the total,
+    # and a str or None would reach a TypeError
+    for bad in (math.nan, math.inf, -math.inf, None, "x", True, 10 ** 400):
+        for params in (AsymptoticParams(b=bad, c=1.0), AsymptoticParams(b=0.5, c=bad)):
+            with pytest.raises(DomainError):
+                ln_Ph_estimate(100.0, params)
     for n in (math.nan, math.inf):
         with pytest.raises(DomainError):
             ln_ps_estimate(n)

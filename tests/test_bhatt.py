@@ -5,10 +5,12 @@ import pytest
 
 from spartitions import bhatt
 from spartitions import (
+    AuditRecord,
     DomainError,
     audit_scan,
     bhatt_bound,
     brute_force_count,
+    count_binary_partitions_table,
     count_s_partitions_table,
     ln_count,
     run_audit,
@@ -92,16 +94,37 @@ def test_scan_record_at_8(table500):
     assert not rec.violated
 
 
+def test_records_are_immutable_tuples(table500):
+    rec = next(audit_scan(8, table500))
+    assert rec == AuditRecord(n=1, exact=1, bound=2, violated=False)
+    assert tuple(rec) == (1, 1, 2, False)
+    assert AuditRecord._fields == ("n", "exact", "bound", "violated")
+    assert hash(rec) == hash(AuditRecord(1, 1, 2, False))
+    with pytest.raises(AttributeError):
+        rec.exact = 5
+
+
 def test_scan_exact_matches_brute_force(table500):
     for rec in audit_scan(300, table500):
         assert rec.exact == brute_force_count(rec.n), rec.n
 
 
-def test_scan_bounds():
+def test_scan_bounds(binary500):
     with pytest.raises(DomainError):
         list(audit_scan(0))
+    # a binary table would audit b(n) against the bound and report a first
+    # violation at 474, and a plain list has no n_max
+    for table in (binary500, count_binary_partitions_table(10), [1, 2, 3]):
+        with pytest.raises(DomainError):
+            list(audit_scan(5, table))
+        with pytest.raises(DomainError):
+            run_audit(5, table)
+    # the table builder holds the size limit; a prebuilt table is too
+    # short, so the scan reaches the builder either way
     with pytest.raises(DomainError):
         list(audit_scan(10 ** 6 + 1))
+    with pytest.raises(DomainError):
+        list(audit_scan(10 ** 6 + 1, count_s_partitions_table(10)))
     # n_max must be an int: True would audit n = 1, and a float or str
     # would reach range(...)'s or the comparison's TypeError
     table = count_s_partitions_table(10)

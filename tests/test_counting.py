@@ -65,12 +65,6 @@ def _powers_of_two_upto(n):
     return [1 << k for k in range(n.bit_length())] if n >= 1 else []
 
 
-def _ln_count_expression(value):
-    # ln_count's shift-and-mantissa expression, with no <= 64-bit branch
-    shift = max(0, value.bit_length() - 64)
-    return math.log(value >> shift) + shift * math.log(2.0)
-
-
 def _digest(counts):
     h = hashlib.sha256()
     for c in counts:
@@ -209,9 +203,15 @@ def test_cumulative_builds_own_table():
     assert cumulative_P(4) == 5
 
 
-def test_cumulative_domain():
+def test_cumulative_domain(table500, binary500):
     with pytest.raises(DomainError):
         cumulative_P(0)
+    # the table must be a Mersenne one: the binary table would give
+    # P(4) = 1 + 1 + 2 + 2 = 6, not 5, and a plain list has no n_max
+    assert (table500.parts, binary500.parts) == ("mersenne", "binary")
+    for table in (binary500, count_binary_partitions_table(10), [1, 1]):
+        with pytest.raises(DomainError):
+            cumulative_P(4, table)
 
 
 def test_table_bounds():
@@ -293,15 +293,15 @@ def test_ln_count_matches_mpmath_property(v):
 
 
 def test_ln_count_matches_its_general_expression():
-    # bit-identical to the shift-and-mantissa expression on every size,
-    # across the 64-bit edge of the fast path
+    # ln_count is math.log of the int, bit for bit, on every size from
+    # table entries and the 64-bit edge up to 10^4 bits
     rng = random.Random(11)
     values = (count_s_partitions_table(DIGEST_N).counts
               + count_binary_partitions_table(DIGEST_N).counts
               + [rng.getrandbits(rng.randrange(1, 10_001)) | 1 for _ in range(2000)]
               + [(1 << 63) - 1, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 64) + 1])
     for v in values:
-        assert ln_count(v) == _ln_count_expression(v), v
+        assert ln_count(v) == math.log(v), v
 
 
 def test_ln_count_domain():

@@ -66,9 +66,12 @@ def test_domain_errors():
         integrate_adaptive(lambda v: v, 0.0, 1.0, tol=0.0)
     with pytest.raises(DomainError):
         integrate_adaptive(lambda v: v, 1.0, 0.0)
-    for tol in (math.nan, math.inf):
+    # a str would reach a comparison's TypeError, and True would run as 1
+    for tol in (math.nan, math.inf, "x", None, True):
         with pytest.raises(DomainError):
             integrate_adaptive(lambda v: v, 0.0, 1.0, tol=tol)
-    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan, 1.0)):
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan, 1.0),
+                 ("0", 1.0), (0.0, "1"), (None, 1.0), (0.0, True), (False, 1.0),
+                 (0, 10 ** 400)):
         with pytest.raises(DomainError):
             integrate_adaptive(lambda v: math.exp(-v), a, b)

@@ -111,7 +111,9 @@ def test_zeta_pole_and_band():
 
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.nan),
                                complex(math.inf, 0.0), complex(2.0, -math.inf),
-                               pytest.param(10 ** 400, id="10**400")])
+                               pytest.param(10 ** 400, id="10**400"),
+                               # complex() would parse a str and take a bool as 0 or 1
+                               "1+1j", "x", pytest.param(b"1", id="bytes"), None, True])
 def test_non_finite_arguments_rejected(z):
     with pytest.raises(DomainError):
         gamma_complex(z)
@@ -120,7 +122,8 @@ def test_non_finite_arguments_rejected(z):
 
 
 def test_modulus_identity_domain():
-    for t in (0.0, -1.0, math.nan, math.inf, 225.0, 1000.0, 1e-310, 5e-324):
+    for t in (0.0, -1.0, math.nan, math.inf, 225.0, 1000.0, 1e-310, 5e-324,
+              "x", None, True, 1j):
         with pytest.raises(DomainError):
             gamma_imag_axis_modulus(t)
 

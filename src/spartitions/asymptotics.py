@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .errors import AccuracyError, DomainError, _check_int, _is_finite_real, _is_real
+from .errors import DomainError, _check_int, _is_finite_real, _is_real
 from .quadrature import integrate_adaptive
 from .specfun import IM_BAND
 
@@ -104,16 +104,6 @@ def sawtooth_f(x) -> float:
     return (exponent - 1) - math.log2(x) + 0.5
 
 
-def _remainder_R(u) -> float:
-    """Remainder of the part-counting function after a ln u + b.
-
-    R(u) = ln(1 + 1/u)/ln 2 + f(u + 1); it reconstructs
-    floor(log2(u+1)) = ln u/ln2 - 1/2 + R(u) exactly.
-    """
-    _check_float_x(u, "remainder_R")
-    return math.log1p(1.0 / u) / LN2 + sawtooth_f(u + 1)
-
-
 def sawtooth_log_integral(u: float, tol: float = 1e-10) -> float:
     """Integral of f(v)/v over [1, u], exact: ln2 y(1 - y)/2.
 
@@ -133,10 +123,12 @@ def sawtooth_log_integral(u: float, tol: float = 1e-10) -> float:
 def alpha_constant(tol: float = 1e-8) -> float:
     """The dyadic sawtooth integral of f(v)/(v(v-1)) from 2 to infinity.
 
-    Integrates slice by slice over [2^k, 2^(k+1)], where floor(log2 v)
-    is the constant k and the integrand is smooth, for k = 1..K with the
-    analytic tail bound |f| <= 1/2, integral of 1/(v(v-1)) beyond 2^K
-    <= 1/(2^K - 1); K is chosen so the bound is under tol/2.
+    One adaptive quadrature over [2, 2^(K+1)] at tol/2, split at the
+    dyadic points 2^2..2^K, so every panel lies in one slice
+    [2^k, 2^(k+1)] where floor(log2 v) is the constant k and the
+    integrand is smooth.  The analytic tail bound |f| <= 1/2, integral of
+    1/(v(v-1)) beyond 2^K <= 1/(2^K - 1); K is chosen so the bound is
+    under tol/2.
     """
     _check_tol(tol, "alpha")
     return _alpha_sum(tol)
@@ -147,11 +139,8 @@ def _alpha_sum(tol: float) -> float:
     K = 2
     while 0.5 / (2.0 ** K - 1.0) >= 0.5 * tol:
         K += 1
-    slice_tol = 0.5 * tol / K
-    total = 0.0
-    for k in range(1, K + 1):
-        total += _alpha_slice(k, slice_tol)
-    return total
+    return integrate_adaptive(_alpha_integrand, 2.0, 2.0 ** (K + 1), tol=0.5 * tol,
+                              breakpoints=[2.0 ** k for k in range(2, K + 1)]).value
 
 
 # the cache sits behind the tol check, so a bool tol cannot hit the entry of
@@ -161,18 +150,11 @@ alpha_constant.cache_info = _alpha_sum.cache_info
 alpha_constant.cache_clear = _alpha_sum.cache_clear
 
 
-def _alpha_slice(k: int, tol: float) -> float:
-    lo, hi = 2.0 ** k, 2.0 ** (k + 1)
-    smooth = k + 0.5  # floor(log2 v) + 1/2 on the open slice
-
-    def integrand(v):
-        return (smooth - math.log2(v)) / (v * (v - 1.0))
-
-    try:
-        return integrate_adaptive(integrand, lo, hi, tol=tol).value
-    except AccuracyError as exc:
-        raise AccuracyError(f"alpha (dyadic slice k={k}): {exc}",
-                            best=exc.best) from exc
+def _alpha_integrand(v: float) -> float:
+    # every node is interior to its slice, so the frexp exponent minus one
+    # is floor(log2 v) exactly; exponent - 1/2 is floor(log2 v) + 1/2
+    _, exponent = math.frexp(v)
+    return (exponent - 0.5 - math.log2(v)) / (v * (v - 1.0))
 
 
 def c_constant(tol: float = 1e-8) -> float:

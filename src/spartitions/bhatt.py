@@ -91,13 +91,18 @@ def audit_scan(n_max: int, table: CountTable | None = None) -> Iterator[AuditRec
     The bound costs O(1) per n: the full formula runs at most
     bit_length(n_max)^2 times over the scan (_bounds).  A table must be
     a Mersenne CountTable; one too short, or none, is built, so an n_max
-    past the exact-table limit raises DomainError in the builder.
+    past the exact-table limit raises DomainError in the builder.  The
+    checks and the table run when audit_scan is called, not at the first
+    record.
     """
     _check_int("n_max", n_max, 1)
     _check_s_table(table)
     if table is None or table.n_max < n_max:
         table = count_s_partitions_table(n_max)
-    counts = table.counts
+    return _records(n_max, table.counts)
+
+
+def _records(n_max: int, counts: list) -> Iterator[AuditRecord]:
     for n, bound in enumerate(_bounds(n_max), 1):
         exact = counts[n]
         yield AuditRecord(n, exact, bound, exact > bound)

@@ -44,20 +44,13 @@ class _Emitter:
         self._csv.writerow(record)
 
 
-def _exact_n(n: int, flag: str) -> int:
-    # checked before the table is allocated: its memory grows with n
-    if n > counting.MAX_EXACT_N:
-        raise DomainError(f"{flag} must be <= {counting.MAX_EXACT_N}, got {n}")
-    return n
-
-
 def _cmd_count(args, emit):
-    table = counting.count_s_partitions_table(_exact_n(args.n, "--n"))
+    table = counting.count_s_partitions_table(args.n)
     emit({"n": args.n, "count": str(table[args.n])})
 
 
 def _cmd_table(args, emit):
-    table = counting.count_s_partitions_table(_exact_n(args.max_n, "--max-n"))
+    table = counting.count_s_partitions_table(args.max_n)
     for n in range(args.max_n + 1):
         emit({"n": n, "count": str(table[n])})
 
@@ -140,7 +133,7 @@ def _cmd_modexp(args, emit):
 
 
 def _cmd_binary_cross_check(args, emit):
-    table = counting.count_binary_partitions_table(_exact_n(args.n, "--n"))
+    table = counting.count_binary_partitions_table(args.n)
     exact_ln = table.ln(args.n)
     params = asymptotics.binary_partition_params(args.tol)
     bd = asymptotics.ln_Ph_estimate(float(args.n + 1), params, tol=args.tol,

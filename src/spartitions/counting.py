@@ -5,7 +5,7 @@ natural log of a count is :func:`ln_count`, math.log of the exact integer,
 which converts arbitrarily large counts without overflow.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log
 
 import numpy as np
@@ -36,7 +36,9 @@ class CountTable:
     count_binary_partitions_table (parts "binary")."""
 
     n_max: int
-    counts: list  # counts[n] = number of partitions of n
+    # counts[n] = number of partitions of n; kept out of the repr, which
+    # would otherwise print every count of a large table
+    counts: list = field(repr=False)
     parts: str
 
     def __getitem__(self, n: int) -> int:
@@ -51,13 +53,6 @@ class CountTable:
         if type(n) is not int or not 0 <= n <= self.n_max:
             raise DomainError(f"table holds an int 0 <= n <= {self.n_max}, got {n!r}")
         return ln_count(self.counts[n])
-
-    def cumulative(self, u: int) -> int:
-        """Sum of counts[0..u-1]; the solution counter P(u) at integer u."""
-        if type(u) is not int or not 1 <= u <= self.n_max + 1:
-            raise DomainError(f"cumulative needs an int 1 <= u <= {self.n_max + 1}, "
-                              f"got {u!r}")
-        return sum(self.counts[: u])
 
 
 def mersenne_parts_upto(n: int) -> list:
@@ -203,7 +198,7 @@ def cumulative_P(u: int, table: CountTable | None = None) -> int:
     _check_s_table(table)
     if table is None or table.n_max < u - 1:
         table = count_s_partitions_table(u - 1)
-    return table.cumulative(u)
+    return sum(table.counts[:u])
 
 
 def ln_count(value: int) -> float:

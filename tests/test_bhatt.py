@@ -110,27 +110,28 @@ def test_scan_exact_matches_brute_force(table500):
 
 
 def test_scan_bounds(binary500):
+    # every check runs when audit_scan is called, before the first record
     with pytest.raises(DomainError):
-        list(audit_scan(0))
+        audit_scan(0)
     # a binary table would audit b(n) against the bound and report a first
     # violation at 474, and a plain list has no n_max
     for table in (binary500, count_binary_partitions_table(10), [1, 2, 3]):
         with pytest.raises(DomainError):
-            list(audit_scan(5, table))
+            audit_scan(5, table)
         with pytest.raises(DomainError):
             run_audit(5, table)
     # the table builder holds the size limit; a prebuilt table is too
     # short, so the scan reaches the builder either way
     with pytest.raises(DomainError):
-        list(audit_scan(10 ** 6 + 1))
+        audit_scan(10 ** 6 + 1)
     with pytest.raises(DomainError):
-        list(audit_scan(10 ** 6 + 1, count_s_partitions_table(10)))
+        audit_scan(10 ** 6 + 1, count_s_partitions_table(10))
     # n_max must be an int: True would audit n = 1, and a float or str
     # would reach range(...)'s or the comparison's TypeError
     table = count_s_partitions_table(10)
-    for n_max in (5.0, "5", True, None):
+    for n_max in (5.0, "5", True, None, 2.0):
         with pytest.raises(DomainError):
-            list(audit_scan(n_max))
+            audit_scan(n_max)
         with pytest.raises(DomainError):
             run_audit(n_max, table)
 

@@ -206,6 +206,9 @@ def test_cumulative_builds_own_table():
 def test_cumulative_domain(table500, binary500):
     with pytest.raises(DomainError):
         cumulative_P(0)
+    for u in (0, -1, 3.0, True):
+        with pytest.raises(DomainError):
+            cumulative_P(u, table500)
     # the table must be a Mersenne one: the binary table would give
     # P(4) = 1 + 1 + 2 + 2 = 6, not 5, and a plain list has no n_max
     assert (table500.parts, binary500.parts) == ("mersenne", "binary")
@@ -217,7 +220,6 @@ def test_cumulative_domain(table500, binary500):
 def test_table_bounds():
     table = count_s_partitions_table(10)
     assert table[0] == 1 and table[10] == 6
-    assert table.cumulative(11) == sum(table.counts)
     # non-int and bool indices too: a float index fails inside the list
     # lookup, and True would read counts[1]
     for n in (-1, 11, 1000, 2.0, 2.5, True, False):
@@ -225,9 +227,12 @@ def test_table_bounds():
             table[n]
         with pytest.raises(DomainError):
             table.ln(n)
-    for u in (0, -1, 12, 1000, 3.0, True):
-        with pytest.raises(DomainError):
-            table.cumulative(u)
+
+
+def test_table_repr_is_short():
+    # the repr names the table, not its 10^5 counts (2.3 MB)
+    text = repr(count_s_partitions_table(10 ** 5))
+    assert text == "CountTable(n_max=100000, parts='mersenne')"
 
 
 def test_binary_small_values(binary500):

@@ -16,6 +16,17 @@ def test_linear():
     assert res.evaluations >= 15
 
 
+def test_rule_is_exact_on_polynomials_to_degree_22():
+    # the 15-point Kronrod rule integrates v^j exactly for j <= 22, so with
+    # full-precision nodes and weights one panel is off by rounding only
+    # (at most 6 ulp, at high degree); tol = 1 keeps the engine at one panel
+    for j in range(23):
+        res = integrate_adaptive(lambda v, j=j: v ** j, 0.0, 1.0, tol=1.0)
+        assert res.evaluations == 15, j
+        exact = 1.0 / (j + 1)
+        assert abs(res.value - exact) <= 8 * math.ulp(exact), j
+
+
 def test_dilog_value():
     res = integrate_adaptive(log1p_over_t, 0.0, 1.0, tol=1e-12)
     assert abs(res.value - math.pi ** 2 / 12.0) <= 1e-12

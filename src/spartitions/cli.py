@@ -3,13 +3,15 @@
 JSON-lines by default (one record per line), CSV via --format csv.
 Exact counts are serialized as decimal strings since they outgrow
 native integer widths in consumers.  Exit codes: 0 success, 1 usage
-error, 2 numerical tolerance not met.
+error (or, from ``main``, a reader that closed stdout early), 2 numerical
+tolerance not met.
 """
 
 import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -49,10 +51,20 @@ def _cmd_count(args, emit):
     emit({"n": args.n, "count": str(table[args.n])})
 
 
+# (header, row) per format: the lines _Emitter.emit would write for
+# {"n": n, "count": str(count)}, without a dict or an encoder per row
+_TABLE_LINES = {
+    "json": ("", '{"n": %d, "count": "%d"}\n'),
+    "csv": ("n,count\r\n", "%d,%d\r\n"),
+}
+
+
 def _cmd_table(args, emit):
     table = counting.count_s_partitions_table(args.max_n)
-    for n in range(args.max_n + 1):
-        emit({"n": n, "count": str(table[n])})
+    header, row = _TABLE_LINES[args.format]
+    sys.stdout.write(header)
+    # a line at a time: a joined string or a list of lines doubles peak RSS
+    sys.stdout.writelines(map(row.__mod__, enumerate(table.counts)))
 
 
 def _cmd_estimate(args, emit):
@@ -216,4 +228,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+    except BrokenPipeError:
+        # the SIGPIPE note of Python's signal docs: point stdout at devnull
+        # so the interpreter's own flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from spartitions import count_binary_partitions_table, count_s_partitions_table
@@ -11,3 +14,11 @@ def table500():
 @pytest.fixture(scope="session")
 def binary500():
     return count_binary_partitions_table(500)
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a child interpreter that imports the package from ./src."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

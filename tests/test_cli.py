@@ -1,5 +1,9 @@
+import csv
+import io
 import json
 import math
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -126,6 +130,47 @@ def test_csv_format(capsys):
     assert code == 0
     assert lines[0] == "n,count"
     assert lines[1:] == ["0,1", "1,1", "2,1", "3,2"]
+
+
+def table_oracle(fmt, counts):
+    """The table stream built one record at a time by the json and csv modules."""
+    records = [{"n": n, "count": str(c)} for n, c in enumerate(counts)]
+    if fmt == "json":
+        return "".join(json.dumps(rec) + "\n" for rec in records)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=["n", "count"])
+    writer.writeheader()
+    writer.writerows(records)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("max_n", [0, 1, 30000])
+def test_table_matches_per_record_oracle(capsys, fmt, max_n):
+    counts = counting.count_s_partitions_table(max_n).counts
+    assert max_n < 30000 or counts[-1] > 2 ** 64  # first above 2^64 at n = 29781
+    assert run(["--format", fmt, "table", "--max-n", str(max_n)]) == 0
+    out = capsys.readouterr().out
+    assert out == table_oracle(fmt, counts)
+    if fmt == "csv":  # every line ends in \r\n, which splitlines() hides
+        assert out.count("\r\n") == out.count("\n") == max_n + 2
+
+
+@pytest.mark.parametrize("command", ["table", "bhatt-audit"])
+def test_reader_closing_early_exits_1_without_traceback(command, src_env):
+    # 10^5 lines are megabytes, far past a pipe's buffer
+    proc = subprocess.Popen([sys.executable, "-m", "spartitions", command,
+                             "--max-n", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env)
+    try:
+        assert proc.stdout.readline().startswith(b'{"')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == ""  # no BrokenPipeError traceback, nor anything else
 
 
 def test_usage_error_exit_1(capsys):

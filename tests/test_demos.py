@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +11,8 @@ ARGS = {"03_estimate_accuracy.py": ["2000"], "04_bound_audit.py": ["5000"]}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
-    path = filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+def test_demo_runs(demo, src_env):
     proc = subprocess.run([sys.executable, str(demo), *ARGS.get(demo.name, [])],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=src_env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

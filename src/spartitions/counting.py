@@ -6,6 +6,7 @@ which converts arbitrarily large counts without overflow.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import log
 
 import numpy as np
@@ -23,9 +24,9 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 300
-# the largest n_max of an exact table: a 10^6 p_s table takes about 0.5 s
-# and 113 MB, and the cost grows faster than n.  It also keeps n_max + 1
-# below 2^31, which the limb width of _unbounded_dp needs
+# the largest n_max of an exact table: a 10^6 p_s table takes about
+# 0.35-0.55 s and 113 MB, and the cost grows faster than n.  It also keeps
+# n_max + 1 below 2^31, which the limb width of _unbounded_dp needs
 MAX_EXACT_N = 10 ** 6
 
 
@@ -84,9 +85,16 @@ def _check_n_max(n_max) -> None:
 def _running_sum(counts: np.ndarray, p: int) -> None:
     # One pass of counts[i] += counts[i - p] for ascending i, in place, so
     # part p may repeat and orderings are not counted.  Laid out as rows of
-    # length p, that pass adds each finished row into the next: a running
-    # sum down the columns, then one slice add for the short last row.
+    # length p, that pass adds each finished row into the next.  A table of
+    # few long rows takes one add per row, the short last row included;
+    # otherwise a running sum down the columns (which costs a few ns per
+    # entry when the rows are long), then one slice add for the last row.
     n = counts.shape[0]
+    if n <= 64 * p:
+        for start in range(p, n, p):
+            stop = min(start + p, n)
+            np.add(counts[start:stop], counts[start - p : stop - p], out=counts[start:stop])
+        return
     full = n // p * p
     head = counts[:full].reshape(-1, p)
     np.add.accumulate(head, axis=0, out=head)
@@ -95,28 +103,38 @@ def _running_sum(counts: np.ndarray, p: int) -> None:
 
 def _unbounded_dp(n_max: int, parts: list) -> list:
     # Each count is held as base-2^width digits, one uint64 array (limb) per
-    # digit, lowest first.  No-overflow invariant: every digit is below
-    # 2^width before a pass, and a pass sums at most n_max + 1 digits, so
-    # every sum stays below (n_max + 1) * 2^width < 2^63; the carry into the
-    # next limb adds less than n_max + 1 < 2^31 more.  After each pass the
-    # carries bring every digit back below 2^width; a new limb opens only
-    # when the top one carries out.  The uint64 scalars keep numpy's type
-    # promotion from turning a shift or mask into float64.
+    # digit, lowest first, with the parts run in the order given.  bound is
+    # a Python int above every digit.  A pass with part p sums at most
+    # n_max // p + 1 digits, so it multiplies bound by that many; a pass
+    # that would take bound to 2^63 first carries every digit below 2^width
+    # (opening a limb when the top one carries out), so a digit never
+    # exceeds 2^63 - 1 and the carry adds less than 2^(63 - width) into the
+    # next one without wrapping.  After a carry, one pass sums at most
+    # n_max + 1 < 2^(63 - width) digits below 2^width, so it always fits.
+    # Large parts first leave the digits small, so most passes need no
+    # carry.  The digits end unnormalized, which the combine's += allows.
+    # The uint64 scalars keep numpy's type promotion from turning a shift
+    # or mask into float64.
     width = 63 - (n_max + 1).bit_length()
     shift = np.uint64(width)
     mask = np.uint64((1 << width) - 1)
     limbs = [np.zeros(n_max + 1, dtype=np.uint64)]
     limbs[0][0] = 1
+    bound = 1
     for p in parts:
+        terms = n_max // p + 1
+        if bound * terms >= 1 << 63:
+            for low, high in zip(limbs, limbs[1:]):
+                high += low >> shift
+                low &= mask
+            carry = limbs[-1] >> shift
+            if carry.any():
+                limbs[-1] &= mask
+                limbs.append(carry)
+            bound = (1 << width) - 1
         for limb in limbs:
             _running_sum(limb, p)
-        for low, high in zip(limbs, limbs[1:]):
-            high += low >> shift
-            low &= mask
-        carry = limbs[-1] >> shift
-        if carry.any():
-            limbs[-1] &= mask
-            limbs.append(carry)
+        bound *= terms
     counts = limbs.pop().astype(object)
     while limbs:
         counts <<= width
@@ -127,14 +145,15 @@ def _unbounded_dp(n_max: int, parts: list) -> list:
 def count_s_partitions_table(n_max: int) -> CountTable:
     """Exact table of p_s(0..n_max): partitions into parts 2^k - 1, k >= 1.
 
-    One numpy pass per part over fixed-width uint64 digits, so
-    O(n_max log n_max) machine additions per digit; the digits become
-    Python ints once, at the end.  On a 2-vCPU Xeon with CPython 3.11 and
-    numpy 2.4, n_max = 10^5 takes about 15-25 ms and n_max = 10^6 about
-    0.3-0.6 s.  Raises DomainError past MAX_EXACT_N.
+    One numpy pass per part, largest part first, over fixed-width uint64
+    digits, so O(n_max log n_max) machine additions per digit; the digits
+    are carried only when a bound on them says the next pass could
+    overflow, and become Python ints once, at the end.  On a 2-vCPU Xeon
+    with CPython 3.11 and numpy 2.4, n_max = 10^5 takes about 16-22 ms and
+    n_max = 10^6 about 0.35-0.55 s.  Raises DomainError past MAX_EXACT_N.
     """
     _check_n_max(n_max)
-    return CountTable(n_max, _unbounded_dp(n_max, mersenne_parts_upto(n_max)), "mersenne")
+    return CountTable(n_max, _unbounded_dp(n_max, mersenne_parts_upto(n_max)[::-1]), "mersenne")
 
 
 def count_binary_partitions_table(n_max: int) -> CountTable:
@@ -142,18 +161,27 @@ def count_binary_partitions_table(n_max: int) -> CountTable:
 
     Uses the halving recurrence b(2m) = b(2m - 1) + b(m), b(2m + 1) = b(2m):
     an odd n has a part 1 to remove, and an even n either has one or halves
-    into a partition of m.  That is n_max/2 big-integer additions, and
-    b(2m) and b(2m + 1) share one int object.  On a 2-vCPU Xeon with
-    CPython 3.11, n_max = 10^5 takes about 5 ms and n_max = 10^6
-    0.05-0.07 s.  Raises DomainError past MAX_EXACT_N.
+    into a partition of m.  So b(2m) = b(2m - 2) + b(m) = b(0) + ... + b(m),
+    a prefix sum.  Once b(0..2m + 1) are known, the running sum of
+    b(m + 1..hi) from b(2m) gives b(2m + 2), b(2m + 4), ..., b(2 hi) for any
+    hi <= 2m + 1; each block takes hi = min(2m + 1, m + 4096), which keeps
+    its temporary lists small.  That is n_max/2 big-integer additions, run
+    in C by itertools.accumulate, and b(2m) and b(2m + 1) share one int
+    object.  On a 2-vCPU Xeon with CPython 3.11, n_max = 10^5 takes about
+    2.5-5 ms and n_max = 10^6 about 0.04-0.075 s.  Raises DomainError past
+    MAX_EXACT_N.
     """
     _check_n_max(n_max)
-    counts = [1, 1]
-    append = counts.append
-    for m in range(1, n_max // 2 + 1):
-        b = counts[-1] + counts[m]
-        append(b)
-        append(b)
+    half = n_max // 2
+    # b(0) = b(1) = 1; the blocks overwrite every later slot
+    counts = [1] * (2 * half + 2)
+    m = 0
+    while m < half:
+        hi = min(2 * m + 1, m + 4096, half)
+        sums = accumulate(counts[m + 1 : hi + 1], initial=counts[2 * m])
+        next(sums)  # b(2m) itself
+        counts[2 * m + 2 : 2 * hi + 2 : 2] = counts[2 * m + 3 : 2 * hi + 2 : 2] = list(sums)
+        m = hi
     del counts[n_max + 1:]
     return CountTable(n_max, counts, "binary")
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import time
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -102,11 +103,19 @@ def test_table_matches_loop_oracle_to_300(build, offset):
 @pytest.mark.parametrize("build, offset", FAMILIES)
 def test_table_matches_loop_oracle_at_row_edges(build, offset):
     # n_max + 1 a multiple of every part, of some, or of none: the row
-    # layout's short last row is then empty or not, part by part
+    # layout's short last row is then empty or not, part by part.  At
+    # n_max + 1 = 64p and 64p + 1 a pass of p switches from one add per row
+    # to the running sum down the columns.  The DP runs the parts in the
+    # order given: it carries seldom largest first, often smallest first
     sizes = [(1 << k) + d for k in range(2, 13) for d in (-2, -1, 0)]
+    sizes += [64 * ((1 << k) - 1) + d for k in range(1, 7) for d in (-1, 0)]
     sizes += random.Random(7).sample(range(301, 5001), 12)
     for n_max in sizes:
-        assert build(n_max).counts == _loop_dp(n_max, _family_parts(n_max, offset)), n_max
+        parts = _family_parts(n_max, offset)
+        expected = _loop_dp(n_max, parts)
+        assert build(n_max).counts == expected, n_max
+        for order in (parts, parts[::-1]):
+            assert counting._unbounded_dp(n_max, order) == expected, (n_max, order)
 
 
 @pytest.mark.parametrize("n_max, limbs", [(9710, 1), (9711, 2), (9712, 2),
@@ -116,9 +125,18 @@ def test_table_matches_loop_oracle_at_limb_edges(n_max, limbs):
     # n_max = 16382 and 48 from 16383; p_s(9711) is the first count that
     # needs a second digit
     width = 63 - (n_max + 1).bit_length()
+    parts = mersenne_parts_upto(n_max)
+    expected = _loop_dp(n_max, parts)
     counts = count_s_partitions_table(n_max).counts
     assert -(-counts[-1].bit_length() // width) == limbs
-    assert counts == _loop_dp(n_max, mersenne_parts_upto(n_max))
+    assert counts == expected
+    # smallest part first, the DP carries before most passes
+    assert counting._unbounded_dp(n_max, parts) == expected
+    # twenty passes of the part 1 ahead of the parts leave every digit
+    # large before the first carry; each of them is one more prefix sum
+    for _ in range(20):
+        expected = list(accumulate(expected))
+    assert counting._unbounded_dp(n_max, [1] * 20 + parts) == expected
 
 
 def test_limb_digits_never_wrap():
@@ -242,11 +260,16 @@ def test_binary_small_values(binary500):
     assert binary500.counts[:11] == [1, 1, 2, 2, 4, 4, 6, 6, 10, 10, 14]
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 3, DIGEST_N, DIGEST_N + 1])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, DIGEST_N, DIGEST_N + 1]
+                         + [(1 << k) + d for k in range(2, 13) for d in (-1, 0, 1)
+                            if (1 << k) + d > 3]
+                         + [24574, 24575, 24576])
 def test_binary_table_matches_powers_of_two_dp(n_max):
-    # the halving recurrence against an independent route, the unbounded DP
-    # over the parts 1 << k; n_max <= 300 and the row edges are covered by
-    # the loop-oracle tests above
+    # the prefix-sum blocks against an independent route, the unbounded DP
+    # over the parts 1 << k.  The doubling blocks end at b(2^k - 1), so
+    # n_max = 2^k - 1 ends a block and 2^k, 2^k + 1 end one and two entries
+    # into the next; the first block that the 4096-sum cap shortens ends at
+    # b(24575)
     expected = _loop_dp(n_max, _powers_of_two_upto(n_max))
     assert count_binary_partitions_table(n_max).counts == expected
 
@@ -268,12 +291,24 @@ def test_binary_table_cost():
     assert best <= 0.3
 
 
+def test_s_table_cost():
+    # the docstring's 16-22 ms at 10^5, with room for a host that drifts
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        count_s_partitions_table(10 ** 5)
+        best = min(best, time.perf_counter() - start)
+    assert best <= 0.1
+
+
 def test_binary_recurrence(binary500):
-    # classical: b(2m) = b(2m-1) + b(m), b(2m+1) = b(2m)
+    # classical: b(2m) = b(2m-1) + b(m), b(2m+1) = b(2m), so b(2m) is the
+    # prefix sum b(0) + ... + b(m)
     b = binary500.counts
     for n in range(1, 501):
         if n % 2 == 0:
             assert b[n] == b[n - 1] + b[n // 2], n
+            assert b[n] == sum(b[:n // 2 + 1]), n
         else:
             assert b[n] == b[n - 1], n
 

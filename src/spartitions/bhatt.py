@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .counting import CountTable, _check_s_table, count_s_partitions_table, ln_count
-from .errors import DomainError, _check_int
+from .errors import _check_int
 
 __all__ = ["AuditRecord", "AuditSummary", "bhatt_bound", "audit_scan", "summarize",
            "run_audit"]
@@ -53,9 +53,7 @@ class AuditSummary:
 
 def bhatt_bound(n: int) -> int:
     """Exact value of the claimed upper bound at n >= 1."""
-    # _check_int inlined: audit_scan calls this once per n
-    if type(n) is not int or n < 1:
-        raise DomainError(f"bound needs an int n >= 1, got {n!r}")
+    _check_int("n", n, 1)
     total = 2 + n // 3
     for i in range(n.bit_length()):  # i = 0 .. floor(log2 n)
         x = n - 3 * i

@@ -1,10 +1,12 @@
 """Command-line surface: every operation, machine-readable output.
 
-JSON-lines by default (one record per line), CSV via --format csv.
-Exact counts are serialized as decimal strings since they outgrow
-native integer widths in consumers.  Exit codes: 0 success, 1 usage
-error (or, from ``main``, a reader that closed stdout early), 2 numerical
-tolerance not met.
+JSON-lines by default (one record per line); with --format csv, one
+header from the first record's keys, then a row per record.  Every
+command writes one record shape to stdout; bhatt-audit's CSV-mode
+summary goes to stderr as JSON.  Exact counts are serialized as decimal
+strings since they outgrow native integer widths in consumers.  Exit
+codes: 0 success, 1 usage error (or, from ``main``, a reader that closed
+stdout early), 2 numerical tolerance not met.
 """
 
 import argparse
@@ -27,23 +29,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class _Emitter:
-    def __init__(self, fmt: str, stream):
-        self.fmt = fmt
-        self.stream = stream
-        self._csv = None
-        self._fields = None
+def _writer(fmt: str, stream):
+    """The emit function of --format fmt, writing to stream."""
+    if fmt == "json":
+        return lambda record: stream.write(json.dumps(record) + "\n")
+    writer = None
 
-    def emit(self, record: dict):
-        if self.fmt == "json":
-            self.stream.write(json.dumps(record) + "\n")
-            return
-        fields = list(record)
-        if fields != self._fields:
-            self._csv = csv.DictWriter(self.stream, fieldnames=fields)
-            self._csv.writeheader()
-            self._fields = fields
-        self._csv.writerow(record)
+    def emit(record: dict):
+        nonlocal writer
+        if writer is None:
+            writer = csv.DictWriter(stream, fieldnames=list(record))
+            writer.writeheader()
+        writer.writerow(record)
+    return emit
 
 
 def _cmd_count(args, emit):
@@ -51,7 +49,7 @@ def _cmd_count(args, emit):
     emit({"n": args.n, "count": str(table[args.n])})
 
 
-# (header, row) per format: the lines _Emitter.emit would write for
+# (header, row) per format: the lines _writer's emit would write for
 # {"n": n, "count": str(count)}, without a dict or an encoder per row
 _TABLE_LINES = {
     "json": ("", '{"n": %d, "count": "%d"}\n'),
@@ -67,14 +65,21 @@ def _cmd_table(args, emit):
     sys.stdout.writelines(map(row.__mod__, enumerate(table.counts)))
 
 
-def _cmd_estimate(args, emit):
-    bd = asymptotics.ln_ps_estimate(args.n, tol=args.tol, nu_max=args.nu_max)
-    record = {"n": args.n, **asdict(bd)}
-    if args.n <= counting.MAX_EXACT_N:
-        exact_ln = counting.count_s_partitions_table(args.n).ln(args.n)
+def _estimate_record(n: int, bd, exact_ln: float | None) -> dict:
+    """n and the estimate's terms, then, when the exact count is known,
+    its ln and the estimate's error."""
+    record = {"n": n, **asdict(bd)}
+    if exact_ln is not None:
         record["exact_ln"] = exact_ln
         record["error"] = bd.total - exact_ln
-    emit(record)
+    return record
+
+
+def _cmd_estimate(args, emit):
+    bd = asymptotics.ln_ps_estimate(args.n, tol=args.tol, nu_max=args.nu_max)
+    exact_ln = (counting.count_s_partitions_table(args.n).ln(args.n)
+                if args.n <= counting.MAX_EXACT_N else None)
+    emit(_estimate_record(args.n, bd, exact_ln))
 
 
 def _cmd_constants(args, emit):
@@ -145,15 +150,10 @@ def _cmd_modexp(args, emit):
 
 
 def _cmd_binary_cross_check(args, emit):
-    table = counting.count_binary_partitions_table(args.n)
-    exact_ln = table.ln(args.n)
-    params = asymptotics.binary_partition_params(args.tol)
-    bd = asymptotics.ln_Ph_estimate(float(args.n + 1), params, tol=args.tol,
+    exact_ln = counting.count_binary_partitions_table(args.n).ln(args.n)
+    bd = asymptotics.ln_Ph_estimate(args.n + 1, asymptotics.binary_partition_params(),
                                     nu_max=args.nu_max)
-    emit({
-        "n": args.n, **asdict(bd),
-        "exact_ln": exact_ln, "error": bd.total - exact_ln,
-    })
+    emit(_estimate_record(args.n, bd, exact_ln))
 
 
 def _build_parser() -> _Parser:
@@ -206,7 +206,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("binary-cross-check",
                        help="generic estimate with power-of-two parts vs exact")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--nu-max", type=int, default=16)
     p.set_defaults(func=_cmd_binary_cross_check)
 
@@ -215,9 +214,8 @@ def _build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    emitter = _Emitter(args.format, sys.stdout)
     try:
-        args.func(args, emitter.emit)
+        args.func(args, _writer(args.format, sys.stdout))
     except DomainError as exc:
         print(f"spartitions: error: {exc}", file=sys.stderr)
         return 1

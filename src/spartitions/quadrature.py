@@ -88,18 +88,25 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
                        breakpoints=()) -> QuadratureResult:
     """Integrate f over the finite interval [a, b] to absolute tolerance tol.
 
-    breakpoints: interior abscissae where f or a derivative jumps; the
-    initial subdivision is split there.  Raises AccuracyError (with the
-    best estimate attached) if f returns a non-finite value, or if the
-    budget of 4096 intervals is exhausted before the error estimate
-    drops below tol.
+    breakpoints: finite real abscissae where f or a derivative jumps; the
+    initial subdivision is split at those inside (a, b).  Raises
+    AccuracyError (with the best estimate attached) if f returns a
+    non-finite value, or if the budget of 4096 intervals is exhausted
+    before the error estimate drops below tol.
     """
     if not (_is_real(tol) and 0.0 < tol < math.inf):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     if not (_is_finite_real(a) and _is_finite_real(b) and a < b):
         raise DomainError(f"need finite real a < b, got [{a!r}, {b!r}]")
 
-    points = [a] + [p for p in sorted(breakpoints) if a < p < b] + [b]
+    try:
+        inner = sorted(breakpoints)
+        finite = all(map(_is_finite_real, inner))
+    except TypeError:  # not iterable, or values that do not compare
+        finite = False
+    if not finite:
+        raise DomainError(f"breakpoints must be finite reals, got {breakpoints!r}")
+    points = [a] + [p for p in inner if a < p < b] + [b]
 
     nevals = 0
     heap = []  # (-err, lo, hi, value, err)

@@ -22,6 +22,9 @@ __all__ = ["gamma_complex", "zeta_complex", "gamma_imag_axis_modulus"]
 
 IM_BAND = 200.0
 ZETA_RE_MIN = 0.6
+# past this, every n^-s with n >= 2 underflows and zeta(s) rounds to 1; the
+# Bernoulli tail would meet inf * 0 = NaN from Re s ~ 1e14 on
+_ZETA_RE_ONE = 1076.0
 
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C = (
@@ -62,14 +65,24 @@ def gamma_complex(z) -> complex:
     """Gamma(z) for complex z with |Im z| <= 200.
 
     Poles (z a nonpositive real integer), non-finite and out-of-band
-    arguments raise.
+    arguments raise DomainError, and so does z where Gamma(z), or an
+    intermediate of the Lanczos or reflection formula, leaves the float
+    range: on the real axis z > 171.62 or z < -170.62, and at Im z = 200
+    Re z > 189 or Re z < -74.
     """
     z = _finite_complex(z, "gamma_complex")
     if abs(z.imag) > IM_BAND:
         raise DomainError(f"gamma_complex supports |Im z| <= {IM_BAND:g}, got {z}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise PoleError(f"gamma pole at z = {z.real:g}")
-    return _lanczos(z)
+    try:  # math/cmath raise OverflowError; a complex product turns inf or NaN
+        value = _lanczos(z)
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise DomainError(f"Gamma(z) or an intermediate of it leaves the float range "
+                      f"at z = {z}")
 
 
 def _lanczos(z: complex) -> complex:
@@ -107,7 +120,8 @@ def zeta_complex(s) -> complex:
 
     Euler-Maclaurin: sum_{n<N} n^-s + N^{1-s}/(s-1) + N^-s/2 + 12
     Bernoulli corrections, N = max(24, |Im s| + 24); the absolute error
-    measured against mpmath stays below 2e-13 across the band.
+    measured against mpmath stays below 2e-13 across the band.  Past
+    Re s = 1076, where every n^-s with n >= 2 underflows, it is exactly 1.
     """
     s = _finite_complex(s, "zeta_complex")
     if s == 1.0:
@@ -117,6 +131,8 @@ def zeta_complex(s) -> complex:
             f"zeta_complex supports Re s >= {ZETA_RE_MIN} and "
             f"|Im s| <= {IM_BAND:g}, got {s}"
         )
+    if s.real > _ZETA_RE_ONE:
+        return 1.0 + 0.0j
     N = max(24, int(abs(s.imag)) + 24)
 
     n = np.arange(1, N, dtype=float)

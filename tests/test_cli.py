@@ -132,16 +132,19 @@ def test_csv_format(capsys):
     assert lines[1:] == ["0,1", "1,1", "2,1", "3,2"]
 
 
-def table_oracle(fmt, counts):
-    """The table stream built one record at a time by the json and csv modules."""
-    records = [{"n": n, "count": str(c)} for n, c in enumerate(counts)]
+def stream_oracle(fmt, records):
+    """The stream built one record at a time by the json and csv modules."""
     if fmt == "json":
         return "".join(json.dumps(rec) + "\n" for rec in records)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["n", "count"])
+    writer = csv.DictWriter(buf, fieldnames=list(records[0]))
     writer.writeheader()
     writer.writerows(records)
     return buf.getvalue()
+
+
+def table_oracle(fmt, counts):
+    return stream_oracle(fmt, [{"n": n, "count": str(c)} for n, c in enumerate(counts)])
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -154,6 +157,41 @@ def test_table_matches_per_record_oracle(capsys, fmt, max_n):
     assert out == table_oracle(fmt, counts)
     if fmt == "csv":  # every line ends in \r\n, which splitlines() hides
         assert out.count("\r\n") == out.count("\n") == max_n + 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command, n", [("estimate", 4096), ("estimate", 10 ** 400),
+                                        ("binary-cross-check", 512)])
+def test_estimate_records_match_per_record_oracle(capsys, fmt, command, n):
+    if command == "estimate":
+        bd = asymptotics.ln_ps_estimate(n)
+        table = counting.count_s_partitions_table(n) if n <= counting.MAX_EXACT_N else None
+    else:
+        bd = asymptotics.ln_Ph_estimate(n + 1, asymptotics.binary_partition_params())
+        table = counting.count_binary_partitions_table(n)
+    record = {"n": n, **asdict(bd)}
+    if table is not None:
+        record.update(exact_ln=table.ln(n), error=bd.total - table.ln(n))
+    assert run(["--format", fmt, command, "--n", str(n)]) == 0
+    assert capsys.readouterr().out == stream_oracle(fmt, [record])
+
+
+def test_csv_w_eval_writes_one_header(capsys):
+    code, lines = run_lines(capsys, ["--format", "csv", "w-eval", "--points", "5"])
+    assert code == 0
+    assert lines[0] == "z,w"
+    assert len(lines) == 6 and "z,w" not in lines[1:]
+
+
+def test_csv_bhatt_audit_sends_the_summary_to_stderr(capsys):
+    assert run(["bhatt-audit", "--max-n", "20"]) == 0
+    json_summary = capsys.readouterr().out.splitlines()[-1]
+    assert run(["--format", "csv", "bhatt-audit", "--max-n", "20"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "record_type,n,exact,bound,violated"
+    assert len(lines) == 21 and all(line.startswith("audit,") for line in lines[1:])
+    assert captured.err == json_summary + "\n"
 
 
 @pytest.mark.parametrize("command", ["table", "bhatt-audit"])
@@ -177,6 +215,17 @@ def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         run(["count"])  # missing --n
     assert info.value.code == 1
+
+
+def test_binary_cross_check_takes_no_tol(capsys):
+    # its estimate's constants are exact, so a tol could only be checked
+    with pytest.raises(SystemExit) as info:
+        run(["binary-cross-check", "--n", "512", "--tol", "1e-8"])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: spartitions")
+    assert "unrecognized arguments: --tol 1e-8" in captured.err
 
 
 def test_domain_error_exit_1(capsys):

@@ -86,3 +86,7 @@ def test_domain_errors():
                  (0, 10 ** 400)):
         with pytest.raises(DomainError):
             integrate_adaptive(lambda v: math.exp(-v), a, b)
+    # a str or None would reach sorted()'s TypeError, and NaN would be dropped
+    for breakpoints in (["x"], None, [math.nan], [0.5, math.inf], 0.5, [0.5, "x"]):
+        with pytest.raises(DomainError):
+            integrate_adaptive(lambda v: v, 0.0, 1.0, breakpoints=breakpoints)

@@ -69,6 +69,38 @@ def test_gamma_poles_and_band():
         gamma_complex(1.0 + 201.0j)
 
 
+@pytest.mark.parametrize("im", [0.0, 0.5, -3.0, T1, 100.0, -150.0, 200.0])
+def test_gamma_is_finite_or_domain_error(im):
+    # past the float range the Lanczos product overflows (OverflowError) or
+    # the reflection meets inf * 0 (NaN); neither may escape
+    for k in range(-2500, 2501):
+        z = complex(k / 10.0, im)
+        try:
+            value = gamma_complex(z)
+        except DomainError:
+            continue
+        assert cmath.isfinite(value), z
+
+
+@pytest.mark.parametrize("z", [172.0, -171.5, -250 + 0.5j, -100 + 200j, 177 + 100j])
+def test_gamma_past_the_float_range(z):
+    with pytest.raises(DomainError, match="float range"):
+        gamma_complex(z)
+
+
+@pytest.mark.parametrize("im", [0.0, 1.0, T1, -200.0])
+def test_zeta_is_finite_up_to_the_float_range(im):
+    # from Re s = 1076 every n^-s, n >= 2, underflows; from ~1e14 the
+    # Bernoulli tail would give inf * 0 = NaN
+    res = [0.65 + k / 10.0 for k in range(2500)]  # steps past the pole at 1 + [10.0 ** k for k in range(3, 309)]
+    for re in res:
+        value = zeta_complex(complex(re, im))
+        assert cmath.isfinite(value), (re, im)
+        if re > 1076.0:
+            assert value == 1.0, (re, im)
+    assert zeta_complex(1e50 + 1j) == 1.0
+
+
 def test_zeta_known_values():
     assert abs(zeta_complex(2.0) - math.pi ** 2 / 6.0) <= 1e-10
     assert abs(zeta_complex(4.0) - math.pi ** 4 / 90.0) <= 1e-10

@@ -15,6 +15,7 @@ audit's conclusion intact because the count/bound gap is asymptotic.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .counting import CountTable, _check_s_table, count_s_partitions_table, ln_count
@@ -83,6 +84,16 @@ def _bounds(n_max: int) -> Iterator[int]:
         yield bound
 
 
+def _scan(n_max: int, table: CountTable | None) -> Iterator[tuple[int, int]]:
+    """(p_s(n), bhatt_bound(n)) for n = 1..n_max.  The checks and the table
+    run at the call, not at the first pair."""
+    _check_int("n_max", n_max, 1)
+    _check_s_table(table)
+    if table is None or table.n_max < n_max:
+        table = count_s_partitions_table(n_max)
+    return zip(islice(table.counts, 1, n_max + 1), _bounds(n_max))
+
+
 def audit_scan(n_max: int, table: CountTable | None = None) -> Iterator[AuditRecord]:
     """Stream AuditRecords for n = 1..n_max against one shared DP table.
 
@@ -93,32 +104,20 @@ def audit_scan(n_max: int, table: CountTable | None = None) -> Iterator[AuditRec
     checks and the table run when audit_scan is called, not at the first
     record.
     """
-    _check_int("n_max", n_max, 1)
-    _check_s_table(table)
-    if table is None or table.n_max < n_max:
-        table = count_s_partitions_table(n_max)
-    return _records(n_max, table.counts)
+    return (AuditRecord(n, exact, bound, exact > bound)
+            for n, (exact, bound) in enumerate(_scan(n_max, table), 1))
 
 
-def _records(n_max: int, counts: list) -> Iterator[AuditRecord]:
-    for n, bound in enumerate(_bounds(n_max), 1):
-        exact = counts[n]
-        yield AuditRecord(n, exact, bound, exact > bound)
-
-
-def summarize(records: Iterable[AuditRecord]) -> AuditSummary:
-    """Fold an audit scan into its summary: minimal violating n (or None)
-    and the largest exact/bound ratio observed.  n_max is the n of the
-    last record."""
-    n = 0  # after the loop, the n of the last record
-    first = None
-    violations = 0
-    best_exact, best_bound = 0, 1
-    best_n = 1
-    monotone = True
-    prev_bound = None
-    for n, exact, bound, violated in records:
-        if violated:
+def summarize(pairs: Iterable[tuple[int, int]]) -> AuditSummary:
+    """Fold the (exact, bound) pairs of n = 1, 2, ... into their summary:
+    minimal violating n (or None) and the largest exact/bound ratio
+    observed.  n_max is the number of pairs."""
+    n = 0  # after the loop, the n of the last pair
+    first, violations = None, 0
+    best_exact, best_bound, best_n = 0, 1, 1
+    monotone, prev_bound = True, 0
+    for n, (exact, bound) in enumerate(pairs, 1):
+        if exact > bound:
             violations += 1
             if first is None:
                 first = n
@@ -126,10 +125,9 @@ def summarize(records: Iterable[AuditRecord]) -> AuditSummary:
         # a tie keeps the first n
         if exact * best_bound > best_exact * bound:
             best_exact, best_bound, best_n = exact, bound, n
-        if n >= 16:
-            if prev_bound is not None and bound < prev_bound:
-                monotone = False
-            prev_bound = bound
+        if bound < prev_bound and n > 16:
+            monotone = False
+        prev_bound = bound
     # through logs once: both sides can exceed the float range
     best_ratio = (math.exp(ln_count(best_exact) - ln_count(best_bound))
                   if best_exact else 0.0)
@@ -137,5 +135,6 @@ def summarize(records: Iterable[AuditRecord]) -> AuditSummary:
 
 
 def run_audit(n_max: int, table: CountTable | None = None) -> AuditSummary:
-    """Scan n = 1..n_max and summarize the scan."""
-    return summarize(audit_scan(n_max, table))
+    """Scan n = 1..n_max as audit_scan does and summarize the scan, folding
+    the (exact, bound) pairs straight from the table: no AuditRecord."""
+    return summarize(_scan(n_max, table))

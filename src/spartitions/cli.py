@@ -114,7 +114,7 @@ def _cmd_bhatt_audit(args, emit):
                 "record_type": "audit", "n": rec.n, "exact": str(rec.exact),
                 "bound": str(rec.bound), "violated": rec.violated,
             })
-            yield rec
+            yield rec.exact, rec.bound
 
     fields = asdict(bhatt.summarize(emitted(bhatt.audit_scan(args.max_n))))
     del fields["n_max"]

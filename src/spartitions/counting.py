@@ -42,6 +42,15 @@ class CountTable:
     counts: list = field(repr=False)
     parts: str
 
+    def __post_init__(self):
+        # the shape only, in O(1): scanning the entries would cost as much
+        # as the scans that trust them
+        _check_int("n_max", self.n_max, 0)
+        if not isinstance(self.counts, list) or len(self.counts) != self.n_max + 1:
+            raise DomainError(f"counts must be a list of n_max + 1 = {self.n_max + 1} counts")
+        if self.parts not in ("mersenne", "binary"):
+            raise DomainError(f"parts must be 'mersenne' or 'binary', got {self.parts!r}")
+
     def __getitem__(self, n: int) -> int:
         # type, not isinstance: a bool would index counts[0] or counts[1]
         if type(n) is not int or not 0 <= n <= self.n_max:

@@ -6,6 +6,7 @@ import pytest
 from spartitions import bhatt
 from spartitions import (
     AuditRecord,
+    AuditSummary,
     DomainError,
     audit_scan,
     bhatt_bound,
@@ -84,6 +85,24 @@ def test_scan_evaluates_the_formula_rarely(monkeypatch):
     for _ in audit_scan(n_max, table):
         pass
     assert 0 < len(calls) <= n_max.bit_length() ** 2
+    calls.clear()
+    run_audit(n_max, table)
+    assert 0 < len(calls) <= n_max.bit_length() ** 2
+
+
+def test_run_audit_builds_no_record(monkeypatch, table500):
+    # the fold takes (exact, bound) pairs straight from the table, so a
+    # record type that cannot be built leaves run_audit untouched
+    expected = AuditSummary(500, None, 0, 0.5, 1, True)
+    assert run_audit(500, table500) == expected
+
+    def no_record(*args):
+        raise AssertionError("run_audit built an AuditRecord")
+
+    monkeypatch.setattr(bhatt, "AuditRecord", no_record)
+    with pytest.raises(AssertionError, match="built an AuditRecord"):
+        next(audit_scan(500, table500))
+    assert run_audit(500, table500) == expected
 
 
 def test_scan_record_at_8(table500):

@@ -101,6 +101,22 @@ def test_bhatt_audit_stream_and_summary(capsys):
     assert summary[0] == {"record_type": "summary", **library}
 
 
+def test_bhatt_audit_summary_across_the_crossover(capsys):
+    # the bound first fails at n = 3804 and fails at every n up to 4095
+    library = asdict(run_audit(5000))
+    del library["n_max"]
+    assert (library["first_violation"], library["violations"],
+            library["max_ratio_n"]) == (3804, 292, 4095)
+    assert run(["bhatt-audit", "--max-n", "5000"]) == 0
+    *rows, summary_line = capsys.readouterr().out.splitlines()
+    audit = [json.loads(row) for row in rows]
+    assert [r["n"] for r in audit] == list(range(1, 5001))
+    assert sum(r["violated"] is True for r in audit) == 292
+    assert json.loads(summary_line) == {"record_type": "summary", **library}
+    assert run(["--format", "csv", "bhatt-audit", "--max-n", "5000"]) == 0
+    assert capsys.readouterr().err == summary_line + "\n"
+
+
 def test_estimate_beyond_float_range(capsys):
     code, recs = run_json(capsys, ["estimate", "--n", str(10 ** 400)])
     assert code == 0

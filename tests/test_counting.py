@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spartitions import (
+    CountTable,
     DomainError,
     brute_force_count,
     count_binary_partitions_table,
@@ -245,6 +246,19 @@ def test_table_bounds():
             table[n]
         with pytest.raises(DomainError):
             table.ln(n)
+
+
+def test_table_shape_is_checked():
+    # a table whose counts miss entries below n_max would raise IndexError
+    # at t[3] and t.ln(3), and cumulative_P(6, t) would silently sum [1]
+    for n_max, counts, parts in (
+        (5, [1], "mersenne"), (1, [1, 1, 2], "binary"), (2, (1, 1, 2), "mersenne"),
+        (-1, [], "mersenne"), (True, [1, 1], "mersenne"), (1.0, [1, 1], "binary"),
+        (1, [1, 1], "powers"), (1, [1, 1], None),
+    ):
+        with pytest.raises(DomainError):
+            CountTable(n_max, counts, parts)
+    assert CountTable(1, [1, 1], "binary")[1] == 1
 
 
 def test_table_repr_is_short():

@@ -18,7 +18,7 @@ from .asymptotics import (
     w_oscillation,
     w_oscillation_complex,
 )
-from .bhatt import AuditRecord, AuditSummary, audit_scan, bhatt_bound, run_audit
+from .bhatt import AuditSummary, audit_scan, bhatt_bound, run_audit
 from .counting import (
     CountTable,
     brute_force_count,

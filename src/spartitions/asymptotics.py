@@ -65,6 +65,9 @@ _TAIL_I = math.pi ** 2 / 12.0 - _EULER_GAMMA ** 2 / 2.0 - _STIELTJES_1
 TAIL_I_ERROR_BOUND = 8 * 2.0 ** -53
 # W's frequencies t_nu = 2 pi nu / ln2 inside the specfun band: nu = 1..22
 _W_FREQS = int(IM_BAND * LN2 / (2.0 * math.pi))
+# W's domain |z| <= 2^53 / t_22, about 4.5e13: past it the top phase t_22 z
+# has no fractional digit left, and near 1e307 it overflows to inf
+_W_MAX_Z = 2.0 ** 53 / (2.0 * math.pi * _W_FREQS / LN2)
 
 # W evaluates Gamma and zeta at the same few frequencies on every call, so
 # the names it calls them through remember one value per frequency; the
@@ -232,11 +235,13 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     Fourier coefficients c_nu = -ln2/(4 pi^2 nu^2).  The -nu term is the
     conjugate of the +nu term, so the imaginary part is exactly 0.
     Frequencies beyond the specfun band are dropped: |Gamma(it)| < 1e-130
-    there, far below double noise.
+    there, far below double noise.  z must be real with |z| <= 2^53 / t_22
+    (about 4.5e13), where t_22 is the top frequency kept; past that the
+    phase t_22 z keeps no fractional digit, and DomainError is raised.
     """
     _check_int("nu_max", nu_max, 1)
-    if not _is_finite_real(z):
-        raise DomainError(f"W needs a finite real z, got {z!r}")
+    if not (_is_finite_real(z) and abs(z) <= _W_MAX_Z):
+        raise DomainError(f"W needs a real z with |z| <= {_W_MAX_Z:.4g}, got {z!r}")
     total = 0.0 + 0.0j
     for nu in range(1, nu_max + 1):
         t = 2.0 * math.pi * nu / LN2
@@ -250,7 +255,8 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
 
 
 def w_oscillation(z: float, nu_max: int = 16) -> float:
-    """The ln2-periodic oscillation W(z) of the built-in dyadic family."""
+    """The ln2-periodic oscillation W(z) of the built-in dyadic family,
+    for real |z| <= 2^53 / t_22 (about 4.5e13)."""
     return w_oscillation_complex(z, nu_max).real
 
 

@@ -16,13 +16,12 @@ audit's conclusion intact because the count/bound gap is asymptotic.
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .counting import CountTable, _check_s_table, count_s_partitions_table, ln_count
 from .errors import _check_int
 
-__all__ = ["AuditRecord", "AuditSummary", "bhatt_bound", "audit_scan", "summarize",
-           "run_audit"]
+__all__ = ["AuditSummary", "bhatt_bound", "audit_scan", "run_audit"]
 
 TERM_CONVENTION = (
     "summand conventions: n-3i < 2 -> 0; floor(log2(n-3i)) = 0 -> 0 "
@@ -32,13 +31,6 @@ TERM_CONVENTION = (
 # m^(m-1) memo, filled on first use so that no n is out of range;
 # computing the power on every call would double bhatt_bound's cost
 _POW: dict[int, int] = {}
-
-
-class AuditRecord(NamedTuple):
-    n: int
-    exact: int
-    bound: int
-    violated: bool
 
 
 @dataclass(frozen=True)
@@ -84,9 +76,17 @@ def _bounds(n_max: int) -> Iterator[int]:
         yield bound
 
 
-def _scan(n_max: int, table: CountTable | None) -> Iterator[tuple[int, int]]:
-    """(p_s(n), bhatt_bound(n)) for n = 1..n_max.  The checks and the table
-    run at the call, not at the first pair."""
+def audit_scan(n_max: int, table: CountTable | None = None) -> Iterator[tuple[int, int]]:
+    """The pairs (p_s(n), bhatt_bound(n)) for n = 1..n_max, from one
+    shared DP table.
+
+    The bound costs O(1) per n: the full formula runs at most
+    bit_length(n_max)^2 times over the scan (_bounds).  A table must be
+    a Mersenne CountTable; one too short, or none, is built, so an n_max
+    past the exact-table limit raises DomainError in the builder.  The
+    checks and the table run when audit_scan is called, not at the first
+    pair.
+    """
     _check_int("n_max", n_max, 1)
     _check_s_table(table)
     if table is None or table.n_max < n_max:
@@ -94,24 +94,11 @@ def _scan(n_max: int, table: CountTable | None) -> Iterator[tuple[int, int]]:
     return zip(islice(table.counts, 1, n_max + 1), _bounds(n_max))
 
 
-def audit_scan(n_max: int, table: CountTable | None = None) -> Iterator[AuditRecord]:
-    """Stream AuditRecords for n = 1..n_max against one shared DP table.
-
-    The bound costs O(1) per n: the full formula runs at most
-    bit_length(n_max)^2 times over the scan (_bounds).  A table must be
-    a Mersenne CountTable; one too short, or none, is built, so an n_max
-    past the exact-table limit raises DomainError in the builder.  The
-    checks and the table run when audit_scan is called, not at the first
-    record.
-    """
-    return (AuditRecord(n, exact, bound, exact > bound)
-            for n, (exact, bound) in enumerate(_scan(n_max, table), 1))
-
-
-def summarize(pairs: Iterable[tuple[int, int]]) -> AuditSummary:
+def _summarize(pairs: Iterable[tuple[int, int]]) -> AuditSummary:
     """Fold the (exact, bound) pairs of n = 1, 2, ... into their summary:
     minimal violating n (or None) and the largest exact/bound ratio
-    observed.  n_max is the number of pairs."""
+    observed.  n_max is the number of pairs.  The pairs are not checked:
+    they come from audit_scan."""
     n = 0  # after the loop, the n of the last pair
     first, violations = None, 0
     best_exact, best_bound, best_n = 0, 1, 1
@@ -135,6 +122,6 @@ def summarize(pairs: Iterable[tuple[int, int]]) -> AuditSummary:
 
 
 def run_audit(n_max: int, table: CountTable | None = None) -> AuditSummary:
-    """Scan n = 1..n_max as audit_scan does and summarize the scan, folding
-    the (exact, bound) pairs straight from the table: no AuditRecord."""
-    return summarize(_scan(n_max, table))
+    """Summarize audit_scan(n_max, table): the first violating n, the
+    number of violations and the largest exact/bound ratio."""
+    return _summarize(audit_scan(n_max, table))

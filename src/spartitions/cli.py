@@ -108,15 +108,15 @@ def _cmd_w_eval(args, emit):
 
 
 def _cmd_bhatt_audit(args, emit):
-    def emitted(records):
-        for rec in records:
+    def emitted(pairs):
+        for n, (exact, bound) in enumerate(pairs, 1):
             emit({
-                "record_type": "audit", "n": rec.n, "exact": str(rec.exact),
-                "bound": str(rec.bound), "violated": rec.violated,
+                "record_type": "audit", "n": n, "exact": str(exact),
+                "bound": str(bound), "violated": exact > bound,
             })
-            yield rec.exact, rec.bound
+            yield exact, bound
 
-    fields = asdict(bhatt.summarize(emitted(bhatt.audit_scan(args.max_n))))
+    fields = asdict(bhatt._summarize(emitted(bhatt.audit_scan(args.max_n))))
     del fields["n_max"]
     summary = {"record_type": "summary", **fields}
     if args.format == "csv":

@@ -450,6 +450,23 @@ def test_w_nu_max_insensitive():
             w_oscillation_complex(z)
 
 
+def test_w_domain_stops_where_the_phase_loses_its_digits():
+    # t_22 z overflows near 1e307, where math.cos(inf) had raised a bare
+    # ValueError; from 2^53 / t_22 on, t_22 z has no fractional digit
+    t_top = 2.0 * math.pi * asymptotics._W_FREQS / LN2
+    limit = asymptotics._W_MAX_Z
+    assert limit == 2.0 ** 53 / t_top
+    assert 4.5e13 < limit < 4.6e13
+    beyond = (1e307, 1e308, -1e308, math.nextafter(limit, math.inf),
+              -math.nextafter(limit, math.inf), 10 ** 20)
+    for z in beyond:
+        for w in (w_oscillation, w_oscillation_complex):
+            with pytest.raises(DomainError, match=r"\|z\| <= 4\.517e\+13"):
+                w(z)
+    for z in (limit, -limit, 1e4, -1e4):
+        assert math.isfinite(w_oscillation(z))
+
+
 def test_generic_estimate_matches_mersenne_wrapper():
     n = 4096
     via2 = ln_Ph_estimate(float(n + 1), mersenne_params(1e-8))

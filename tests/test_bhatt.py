@@ -5,7 +5,6 @@ import pytest
 
 from spartitions import bhatt
 from spartitions import (
-    AuditRecord,
     AuditSummary,
     DomainError,
     audit_scan,
@@ -90,46 +89,27 @@ def test_scan_evaluates_the_formula_rarely(monkeypatch):
     assert 0 < len(calls) <= n_max.bit_length() ** 2
 
 
-def test_run_audit_builds_no_record(monkeypatch, table500):
-    # the fold takes (exact, bound) pairs straight from the table, so a
-    # record type that cannot be built leaves run_audit untouched
-    expected = AuditSummary(500, None, 0, 0.5, 1, True)
-    assert run_audit(500, table500) == expected
-
-    def no_record(*args):
-        raise AssertionError("run_audit built an AuditRecord")
-
-    monkeypatch.setattr(bhatt, "AuditRecord", no_record)
-    with pytest.raises(AssertionError, match="built an AuditRecord"):
-        next(audit_scan(500, table500))
-    assert run_audit(500, table500) == expected
+def test_scan_pairs_are_the_table_and_the_bound(table500):
+    for n_max, table in ((500, table500), (2 * 10 ** 4, count_s_partitions_table(2 * 10 ** 4))):
+        expected = [(table[n], bhatt_bound(n)) for n in range(1, n_max + 1)]
+        assert list(audit_scan(n_max, table)) == expected, n_max
+    # a longer table is read only to n_max
+    assert list(audit_scan(3, table500)) == [(1, 2), (1, 3), (2, 4)]
 
 
 def test_scan_record_at_8(table500):
-    records = {rec.n: rec for rec in audit_scan(16, table500)}
-    rec = records[8]
-    assert rec.exact == 4
-    assert rec.bound == 16
-    assert not rec.violated
-
-
-def test_records_are_immutable_tuples(table500):
-    rec = next(audit_scan(8, table500))
-    assert rec == AuditRecord(n=1, exact=1, bound=2, violated=False)
-    assert tuple(rec) == (1, 1, 2, False)
-    assert AuditRecord._fields == ("n", "exact", "bound", "violated")
-    assert hash(rec) == hash(AuditRecord(1, 1, 2, False))
-    with pytest.raises(AttributeError):
-        rec.exact = 5
+    pairs = list(audit_scan(16, table500))
+    assert len(pairs) == 16
+    assert pairs[7] == (4, 16)  # n = 8: 4 partitions against a bound of 16
 
 
 def test_scan_exact_matches_brute_force(table500):
-    for rec in audit_scan(300, table500):
-        assert rec.exact == brute_force_count(rec.n), rec.n
+    for n, (exact, _) in enumerate(audit_scan(300, table500), 1):
+        assert exact == brute_force_count(n), n
 
 
 def test_scan_bounds(binary500):
-    # every check runs when audit_scan is called, before the first record
+    # every check runs when audit_scan is called, before the first pair
     with pytest.raises(DomainError):
         audit_scan(0)
     # a binary table would audit b(n) against the bound and report a first
@@ -185,9 +165,10 @@ def test_log_ratio_increasing_small_grid():
 
 def test_max_ratio_tracks_scan(table500):
     summary = run_audit(500, table500)
+    assert summary == AuditSummary(500, None, 0, 0.5, 1, True)
     best = max(
-        math.exp(ln_count(rec.exact) - ln_count(rec.bound))
-        for rec in audit_scan(500, table500)
+        math.exp(ln_count(exact) - ln_count(bound))
+        for exact, bound in audit_scan(500, table500)
     )
     assert abs(summary.max_ratio - best) <= 1e-12 * best
 
@@ -196,7 +177,8 @@ def test_max_ratio_tie_keeps_the_first_n(table500):
     # exact/bound is exactly 1/2 at n = 1, 3 and 7 and below 1/2 at every
     # other n < 3463; the fold compares ratios exactly, so n = 1 holds the
     # maximum and the reported ratio is 1/2 itself
-    ratios = {rec.n: Fraction(rec.exact, rec.bound) for rec in audit_scan(500, table500)}
+    ratios = {n: Fraction(exact, bound)
+              for n, (exact, bound) in enumerate(audit_scan(500, table500), 1)}
     assert [n for n, r in ratios.items() if r == Fraction(1, 2)] == [1, 3, 7]
     assert max(ratios.values()) == Fraction(1, 2)
     for n_max in (1, 3, 7, 8, 500):

@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import pytest
 
-from spartitions import asymptotics, counting, run_audit
+from spartitions import AccuracyError, asymptotics, bhatt_bound, counting, run_audit
 from spartitions.cli import run
 
 
@@ -192,6 +192,26 @@ def test_estimate_records_match_per_record_oracle(capsys, fmt, command, n):
     assert capsys.readouterr().out == stream_oracle(fmt, [record])
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("max_n", [1, 16, 5000])
+def test_bhatt_audit_matches_per_record_oracle(capsys, fmt, max_n):
+    counts = counting.count_s_partitions_table(max_n).counts
+    rows = [{"record_type": "audit", "n": n, "exact": str(counts[n]),
+             "bound": str(bhatt_bound(n)), "violated": counts[n] > bhatt_bound(n)}
+            for n in range(1, max_n + 1)]
+    fields = asdict(run_audit(max_n))
+    del fields["n_max"]
+    summary = {"record_type": "summary", **fields}
+    assert run(["--format", fmt, "bhatt-audit", "--max-n", str(max_n)]) == 0
+    captured = capsys.readouterr()
+    if fmt == "json":
+        assert captured.out == stream_oracle(fmt, rows + [summary])
+        assert captured.err == ""
+    else:
+        assert captured.out == stream_oracle(fmt, rows)
+        assert captured.err == json.dumps(summary) + "\n"
+
+
 def test_csv_w_eval_writes_one_header(capsys):
     code, lines = run_lines(capsys, ["--format", "csv", "w-eval", "--points", "5"])
     assert code == 0
@@ -242,6 +262,17 @@ def test_binary_cross_check_takes_no_tol(capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: spartitions")
     assert "unrecognized arguments: --tol 1e-8" in captured.err
+
+
+def test_accuracy_error_exit_2(capsys, monkeypatch):
+    def unmet(tol):
+        raise AccuracyError("quadrature stalled")
+
+    monkeypatch.setattr(asymptotics, "alpha_constant", unmet)
+    assert run(["constants"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "spartitions: numerical tolerance not met: quadrature stalled\n"
 
 
 def test_domain_error_exit_1(capsys):

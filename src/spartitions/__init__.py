@@ -28,7 +28,7 @@ from .counting import (
     ln_count,
     mersenne_parts_upto,
 )
-from .errors import AccuracyError, DomainError, PoleError
+from .errors import AccuracyError, DomainError
 from .modexp import (
     OpCount,
     SPartition,

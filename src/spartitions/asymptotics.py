@@ -52,6 +52,7 @@ __all__ = [
 LN2 = math.log(2.0)
 A = 1.0 / LN2  # the coefficient a of ln u in N(u), shared by both families
 _MIN_TOL = 1e-10
+_SERIES_NU_MAX = 10 ** 6  # the series allocates O(nu_max) floats
 # distinct tols whose alpha stays cached; an unbounded cache grows with
 # every new tol a long-running caller passes
 _TOL_CACHE = 32
@@ -77,23 +78,15 @@ zeta_complex = lru_cache(maxsize=_W_FREQS)(specfun.zeta_complex)
 
 
 def _check_float_x(x, name: str) -> None:
-    """DomainError unless x is real, 1 <= x and x converts to a finite
-    float; an exact int passes 1 <= x < inf even past the float range."""
-    if not (_is_real(x) and 1 <= x < math.inf):
-        raise DomainError(f"{name} needs finite x >= 1, got {x!r}")
-    try:
-        if float(x) < math.inf:
-            return
-    except OverflowError:
-        pass
-    raise DomainError(f"{name} needs x within the float range")
+    """DomainError unless x is a real >= 1 that converts to a finite float."""
+    if not (_is_finite_real(x) and x >= 1):
+        raise DomainError(f"{name} needs a finite x >= 1 within the float range, got {x!r}")
 
 
 def _check_tol(tol, name: str) -> None:
-    """DomainError unless tol is a real number, not a bool, with
-    _MIN_TOL <= tol < inf (NaN fails too)."""
-    if not (_is_real(tol) and _MIN_TOL <= tol < math.inf):
-        raise DomainError(f"{name} needs {_MIN_TOL:g} <= tol < inf, got {tol!r}")
+    """DomainError unless tol is a non-bool real >= _MIN_TOL, finite as a float."""
+    if not (_is_finite_real(tol) and tol >= _MIN_TOL):
+        raise DomainError(f"{name} needs a finite tol >= {_MIN_TOL:g}, got {tol!r}")
 
 
 def sawtooth_f(x) -> float:
@@ -193,11 +186,13 @@ def sawtooth_log_integral_series(u: float, nu_max: int = 10_000) -> float:
 
     ln2/12 - sum over nu != 0 of (ln2/(4 pi^2 nu^2)) e^{2 pi i nu log2 u},
     with the +-nu terms paired into cosines.  Truncation error is below
-    (ln2 / (2 pi^2)) / nu_max.
+    (ln2 / (2 pi^2)) / nu_max, and nu_max may not exceed 10^6.
     """
     if not (_is_real(u) and 1 <= u < math.inf):
         raise DomainError(f"sawtooth series needs finite u >= 1, got {u!r}")
     _check_int("nu_max", nu_max, 1)
+    if nu_max > _SERIES_NU_MAX:
+        raise DomainError(f"sawtooth series takes nu_max <= {_SERIES_NU_MAX}, got {nu_max}")
     x = math.log2(u)
     nu = np.arange(1, nu_max + 1, dtype=float)
     cosines = np.cos((2.0 * math.pi * x) * nu) / (nu * nu)
@@ -243,10 +238,8 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     if not (_is_finite_real(z) and abs(z) <= _W_MAX_Z):
         raise DomainError(f"W needs a real z with |z| <= {_W_MAX_Z:.4g}, got {z!r}")
     total = 0.0 + 0.0j
-    for nu in range(1, nu_max + 1):
+    for nu in range(1, min(nu_max, _W_FREQS) + 1):
         t = 2.0 * math.pi * nu / LN2
-        if t > IM_BAND:
-            break
         factor = -(t * t) * gamma_complex(1j * t) * zeta_complex(1.0 + 1j * t)
         c_nu = -LN2 / (4.0 * math.pi ** 2 * nu * nu)
         term = factor * c_nu * complex(math.cos(t * z), math.sin(t * z))

@@ -35,10 +35,13 @@ _POW: dict[int, int] = {}
 
 @dataclass(frozen=True)
 class AuditSummary:
-    n_max: int
+    """A scan of n = 1..n_max: the least violating n (or None), the number
+    of violations, the largest exact/bound ratio and the first n at it,
+    whether the bound never drops past n = 16, and the summand conventions."""
+
     first_violation: int | None
     violations: int
-    max_ratio: float          # max exact/bound over the scan
+    max_ratio: float
     max_ratio_n: int
     bound_monotone_from_16: bool
     convention: str = TERM_CONVENTION
@@ -97,9 +100,7 @@ def audit_scan(n_max: int, table: CountTable | None = None) -> Iterator[tuple[in
 def _summarize(pairs: Iterable[tuple[int, int]]) -> AuditSummary:
     """Fold the (exact, bound) pairs of n = 1, 2, ... into their summary:
     minimal violating n (or None) and the largest exact/bound ratio
-    observed.  n_max is the number of pairs.  The pairs are not checked:
-    they come from audit_scan."""
-    n = 0  # after the loop, the n of the last pair
+    observed.  The pairs are not checked: they come from audit_scan."""
     first, violations = None, 0
     best_exact, best_bound, best_n = 0, 1, 1
     monotone, prev_bound = True, 0
@@ -118,7 +119,7 @@ def _summarize(pairs: Iterable[tuple[int, int]]) -> AuditSummary:
     # through logs once: both sides can exceed the float range
     best_ratio = (math.exp(ln_count(best_exact) - ln_count(best_bound))
                   if best_exact else 0.0)
-    return AuditSummary(n, first, violations, best_ratio, best_n, monotone)
+    return AuditSummary(first, violations, best_ratio, best_n, monotone)
 
 
 def run_audit(n_max: int, table: CountTable | None = None) -> AuditSummary:

@@ -116,9 +116,8 @@ def _cmd_bhatt_audit(args, emit):
             })
             yield exact, bound
 
-    fields = asdict(bhatt._summarize(emitted(bhatt.audit_scan(args.max_n))))
-    del fields["n_max"]
-    summary = {"record_type": "summary", **fields}
+    summary = {"record_type": "summary",
+               **asdict(bhatt._summarize(emitted(bhatt.audit_scan(args.max_n))))}
     if args.format == "csv":
         print(json.dumps(summary), file=sys.stderr)
     else:

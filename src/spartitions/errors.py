@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """An argument lies outside the supported domain of an operation."""
 
 
-class PoleError(DomainError):
-    """A special function was evaluated at one of its poles."""
-
-
 class AccuracyError(ArithmeticError):
     """A numerical routine could not meet the requested tolerance.
 

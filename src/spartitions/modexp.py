@@ -13,7 +13,7 @@ took 1844.
 
 from dataclasses import dataclass, field
 
-from .errors import _check_int
+from .errors import DomainError, _check_int
 
 __all__ = [
     "SPartition",
@@ -70,6 +70,11 @@ def greedy_decompose(n: int) -> SPartition:
     return SPartition(n, tuple(exponents))
 
 
+def _check_ops(ops) -> None:
+    if not (ops is None or isinstance(ops, OpCount)):
+        raise DomainError(f"ops must be an OpCount or None, got {ops!r}")
+
+
 def _climb(x: int, a: int, steps: int, m: int, ops: OpCount | None) -> int:
     """Advance x = a^(2^k - 1) mod m by ``steps`` links of x -> x^2 * a."""
     for _ in range(steps):
@@ -86,6 +91,7 @@ def pow_mersenne_part(a: int, k: int, m: int, ops: OpCount | None = None) -> int
     _check_int("modulus", m, 1)
     _check_int("exponent index", k, 1)
     _check_int("base", a)
+    _check_ops(ops)
     a = a % m
     return _climb(a, a, k - 1, m, ops)
 
@@ -99,6 +105,7 @@ def modexp_spartition(a: int, n: int, m: int, ops: OpCount | None = None) -> int
     _check_int("modulus", m, 1)
     _check_int("exponent", n, 0)
     _check_int("base", a)
+    _check_ops(ops)
     a = a % m
     result = 1 % m
     x, k = a, 1  # x = a^(2^k - 1) mod m

@@ -16,7 +16,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DomainError, PoleError, _is_real
+from .errors import DomainError, _is_real
 
 __all__ = ["gamma_complex", "zeta_complex", "gamma_imag_axis_modulus"]
 
@@ -74,7 +74,7 @@ def gamma_complex(z) -> complex:
     if abs(z.imag) > IM_BAND:
         raise DomainError(f"gamma_complex supports |Im z| <= {IM_BAND:g}, got {z}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise PoleError(f"gamma pole at z = {z.real:g}")
+        raise DomainError(f"gamma pole at z = {z.real:g}")
     try:  # math/cmath raise OverflowError; a complex product turns inf or NaN
         value = _lanczos(z)
         if cmath.isfinite(value):
@@ -125,7 +125,7 @@ def zeta_complex(s) -> complex:
     """
     s = _finite_complex(s, "zeta_complex")
     if s == 1.0:
-        raise PoleError("zeta pole at s = 1")
+        raise DomainError("zeta pole at s = 1")
     if s.real < ZETA_RE_MIN or abs(s.imag) > IM_BAND:
         raise DomainError(
             f"zeta_complex supports Re s >= {ZETA_RE_MIN} and "

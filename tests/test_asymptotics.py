@@ -257,6 +257,9 @@ def test_series_domain():
     for nu_max in (0, -1, 2.5, 3.0, True):
         with pytest.raises(DomainError):
             sawtooth_log_integral_series(3.0, nu_max)
+    # the series allocates O(nu_max) floats, so the cap is checked first
+    with pytest.raises(DomainError):
+        sawtooth_log_integral_series(3.0, asymptotics._SERIES_NU_MAX + 1)
 
 
 def test_sawtooth_integral_against_closed_form():
@@ -575,6 +578,11 @@ def test_estimate_domain_errors():
     pytest.param(alpha_constant, [1e-8], id="alpha-unhashable"),
     pytest.param(lambda tol: sawtooth_log_integral(3.0, tol), "1e-10", id="sawtooth-str"),
     pytest.param(lambda tol: sawtooth_log_integral(3.0, tol), True, id="sawtooth-bool"),
+    # an int past the float range passes tol < inf but overflows 0.5 * tol
+    pytest.param(alpha_constant, 10 ** 400, id="alpha-big-int"),
+    pytest.param(c_constant, 2 ** 1024, id="c-big-int"),
+    pytest.param(H_constant, 10 ** 309, id="H-big-int"),
+    pytest.param(lambda tol: ln_ps_estimate(4096, tol), 10 ** 400, id="estimate-big-int"),
 ])
 def test_tol_must_be_a_real_number(call, tol):
     with pytest.raises(DomainError):

@@ -165,7 +165,7 @@ def test_log_ratio_increasing_small_grid():
 
 def test_max_ratio_tracks_scan(table500):
     summary = run_audit(500, table500)
-    assert summary == AuditSummary(500, None, 0, 0.5, 1, True)
+    assert summary == AuditSummary(None, 0, 0.5, 1, True)
     best = max(
         math.exp(ln_count(exact) - ln_count(bound))
         for exact, bound in audit_scan(500, table500)
@@ -187,3 +187,40 @@ def test_max_ratio_tie_keeps_the_first_n(table500):
     table = count_s_partitions_table(3463)
     assert run_audit(3462, table).max_ratio_n == 1
     assert run_audit(3463, table).max_ratio_n == 3463
+
+
+def test_violation_set_exact_below_1e6_and_certified_to_2_201():
+    # the exact scan fixes the violation set of n <= 10^6
+    table = count_s_partitions_table(10 ** 6)
+    violated = bytes(exact > bound for exact, bound in audit_scan(10 ** 6, table))
+    assert all(violated[3803:4095])            # every n in [3804, 4095]
+    assert sum(violated[4095:9109]) == 2265     # 12^11 joins the bound at 4096
+    assert all(violated[9109:])                # every n in [9110, 10^6]
+    assert sum(violated) == 993448
+    assert violated[3803:].count(0) == 2749
+
+    # Block certificate for n in [2^j, 2^(j+1)).  Upper lemma: the bound
+    # adds j + 1 summands m_i^(m_i - 1) with m_i <= j (or a convention's 0
+    # or 1) to 2 + floor(n/3), so bhatt_bound(n) <= UB_j, as m^(m-1)
+    # increases with m.  Lower lemma: multiplicities r_k of 2^k - 1,
+    # k = 2..K, with r_k <= n / (K (2^k - 1)) fill at most n, and 1s fill
+    # the rest, so p_s(n) >= LB_K(n).  p_s never decreases in n (add a 1),
+    # so LB_{j//2}(2^j) > UB_j puts the whole block in the violation set.
+    def ub(j):
+        return 2 + ((1 << (j + 1)) - 1) // 3 + (j + 1) * j ** (j - 1)
+
+    def lb(K, n):
+        return math.prod(n // (K * ((1 << k) - 1)) + 1 for k in range(2, K + 1))
+
+    for j in range(19, 201):
+        assert lb(j // 2, 1 << j) > ub(j), j
+
+    # spot checks of both lemmas against the library
+    for j in (12, 15, 19):
+        lo, hi = 1 << j, 1 << (j + 1)
+        for n in (*range(lo, hi, 997), lo + 1, hi - 2, hi - 1):
+            assert bhatt_bound(n) <= ub(j), n
+    for j in range(4, 20):
+        n = 1 << j
+        for K in range(2, j + 1):
+            assert lb(K, n) <= table[n], (j, K)

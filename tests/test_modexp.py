@@ -151,6 +151,9 @@ def test_modexp_domain():
         (pow_mersenne_part, (3, 2, 7.0)),
         (modexp_reference, (3, 2.5, 7)),
         (modexp_reference, (3, 5, 7.0)),
+        # an ops counter that is not an OpCount would fail in +=
+        (modexp_spartition, (3, 5, 7, 0)),
+        (pow_mersenne_part, (3, 2, 7, "x")),
     ]:
         with pytest.raises(DomainError):
             call(*args)

@@ -90,3 +90,27 @@ def test_domain_errors():
     for breakpoints in (["x"], None, [math.nan], [0.5, math.inf], 0.5, [0.5, "x"]):
         with pytest.raises(DomainError):
             integrate_adaptive(lambda v: v, 0.0, 1.0, breakpoints=breakpoints)
+    with pytest.raises(DomainError):
+        integrate_adaptive(None, 0.0, 1.0)
+
+
+def test_nodes_stay_inside_the_interval_near_the_float_max():
+    # a + b overflows to inf here, so a midpoint taken as (a + b)/2 would
+    # evaluate f outside [a, b]
+    nodes = []
+
+    def f(v):
+        nodes.append(v)
+        return math.sin(v)
+
+    with pytest.raises(AccuracyError):
+        integrate_adaptive(f, 0.0, 1e308)
+    assert 0.0 < min(nodes) and max(nodes) < 1e308
+
+
+def test_integrand_exception_propagates():
+    def f(v):
+        raise ZeroDivisionError("from f")
+
+    with pytest.raises(ZeroDivisionError, match="from f"):
+        integrate_adaptive(f, 0.0, 1.0)

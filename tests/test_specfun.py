@@ -6,7 +6,6 @@ import pytest
 
 from spartitions import (
     DomainError,
-    PoleError,
     gamma_complex,
     gamma_imag_axis_modulus,
     zeta_complex,
@@ -62,9 +61,8 @@ def test_gamma_conjugate_symmetry():
 
 def test_gamma_poles_and_band():
     for z in (0.0, -1.0, -7.0):
-        with pytest.raises(PoleError):
+        with pytest.raises(DomainError, match="pole"):
             gamma_complex(z)
-    assert issubclass(PoleError, DomainError)  # poles take the CLI's exit-1 path
     with pytest.raises(DomainError):
         gamma_complex(1.0 + 201.0j)
 
@@ -132,7 +130,7 @@ def test_zeta_conjugate_symmetry():
 
 
 def test_zeta_pole_and_band():
-    with pytest.raises(PoleError):
+    with pytest.raises(DomainError, match="pole"):
         zeta_complex(1.0)
     with pytest.raises(DomainError):
         zeta_complex(0.5 + 3.0j)

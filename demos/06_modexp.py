@@ -2,8 +2,7 @@
 
 One chain x -> x^2 * a climbs from a to the largest part 2^K - 1 and
 passes every smaller part on the way, so the whole exponent costs
-2 (K - 1) + #parts modular multiplications: O(log n), 144 for n = 10^18
-where rebuilding the chain for every part took 1844.
+2 (K - 1) + #parts modular multiplications: O(log n), 144 for n = 10^18.
 """
 
 from spartitions import (

@@ -225,10 +225,12 @@ def binary_partition_params(tol: float = 1e-8) -> AsymptoticParams:
 def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     """Paired complex sum of the oscillation before taking the real part.
 
-    - sum over 0 < |nu| <= nu_max of (2 pi nu / ln2)^2 Gamma(2 pi i nu/ln2)
-    zeta(1 + 2 pi i nu/ln2) c_nu e^{2 pi i nu z / ln2}, with the dyadic
-    Fourier coefficients c_nu = -ln2/(4 pi^2 nu^2).  The -nu term is the
-    conjugate of the +nu term, so the imaginary part is exactly 0.
+    1/ln2 times the sum over 0 < |nu| <= nu_max of Gamma(i t) zeta(1 + i t)
+    e^{i t z}, t = 2 pi nu / ln2.  The general term carries the prefactor
+    -t^2 c_nu, and with the dyadic Fourier coefficients
+    c_nu = -ln2/(4 pi^2 nu^2) and t^2 = 4 pi^2 nu^2 / ln^2 2 that is
+    exactly 1/ln2.  The -nu term is the conjugate of the +nu term, so the
+    imaginary part is exactly 0.
     Frequencies beyond the specfun band are dropped: |Gamma(it)| < 1e-130
     there, far below double noise.  z must be real with |z| <= 2^53 / t_22
     (about 4.5e13), where t_22 is the top frequency kept; past that the
@@ -240,11 +242,10 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     total = 0.0 + 0.0j
     for nu in range(1, min(nu_max, _W_FREQS) + 1):
         t = 2.0 * math.pi * nu / LN2
-        factor = -(t * t) * gamma_complex(1j * t) * zeta_complex(1.0 + 1j * t)
-        c_nu = -LN2 / (4.0 * math.pi ** 2 * nu * nu)
-        term = factor * c_nu * complex(math.cos(t * z), math.sin(t * z))
+        term = (gamma_complex(1j * t) * zeta_complex(1.0 + 1j * t)
+                * complex(math.cos(t * z), math.sin(t * z)))
         total += term + term.conjugate()
-    return total
+    return total / LN2
 
 
 def w_oscillation(z: float, nu_max: int = 16) -> float:
@@ -257,9 +258,8 @@ def w_oscillation(z: float, nu_max: int = 16) -> float:
 class AsymptoticBreakdown:
     """Term-by-term decomposition of one ln P_h(u) estimate.
 
-    total is the plain left-to-right sum of the six terms ordered by
-    decreasing |value| (stable on ties), so totals are reproducible for
-    a given platform rounding mode.
+    total is math.fsum of the six terms: their exact sum, correctly
+    rounded, whatever the term order.
     """
 
     quad_term: float    # a/2 (ln u - lnln u - ln a)^2
@@ -269,13 +269,6 @@ class AsymptoticBreakdown:
     gauss_const: float  # -ln(2 pi)/2
     h_const: float
     total: float
-
-
-def _assemble(terms: tuple) -> float:
-    total = 0.0
-    for t in sorted(terms, key=abs, reverse=True):
-        total += t
-    return total
 
 
 def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = 1e-8,
@@ -297,7 +290,7 @@ def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = 1e-8,
     gauss_const = -0.5 * math.log(2.0 * math.pi)
     h_const = _h(params.c, tol)
     terms = (quad_term, lin_term, bline_term, w_value, gauss_const, h_const)
-    return AsymptoticBreakdown(*terms, total=_assemble(terms))
+    return AsymptoticBreakdown(*terms, total=math.fsum(terms))
 
 
 def ln_ps_estimate(n: int, tol: float = 1e-8, nu_max: int = 16) -> AsymptoticBreakdown:

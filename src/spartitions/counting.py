@@ -208,8 +208,11 @@ def brute_force_count(n: int) -> int:
         raise DomainError(
             f"brute_force_count is an oracle for n <= {BRUTE_FORCE_LIMIT}, got {n}"
         )
-    parts = [p for p in mersenne_parts_upto(n) if p >= 3]
-    parts.reverse()
+    parts = []  # 3, 7, 15, ... <= n, largest first
+    p = 3
+    while p <= n:
+        parts.insert(0, p)
+        p = 2 * p + 1
 
     def scan(idx: int, remainder: int) -> int:
         if idx == len(parts):

@@ -7,8 +7,7 @@ through every part on its way to the largest (Knuth, TAOCP vol. 2,
 order along that one chain and multiplies each part into the result as
 the chain reaches it: 2 (K - 1) + #parts modular multiplications, K the
 largest exponent.  That is O(log n), at most 3 * bit_length(n) - 1 for
-n >= 1, and 144 for n = 10^18, where rebuilding the chain for every part
-took 1844.
+n >= 1, and 144 for n = 10^18.
 """
 
 from dataclasses import dataclass, field

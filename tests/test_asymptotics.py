@@ -38,7 +38,7 @@ W02_REF = 1.8129290675484489e-06
 
 
 def fourier_coefficient(nu):
-    # c_nu of the dyadic sawtooth mean, as W writes it
+    # c_nu of the dyadic sawtooth mean
     return -LN2 / (4.0 * math.pi ** 2 * nu * nu)
 
 
@@ -216,10 +216,13 @@ def test_H_has_one_home():
 
 
 def test_sawtooth_log_integral_series_matches_closed_form():
-    for u in (3.0, 5.0, 10.0, 6.7, 1.0):
-        series = sawtooth_log_integral_series(u, 10_000)
-        bound = (LN2 / (2.0 * math.pi ** 2)) / 10_000
-        assert abs(series - closed_sawtooth_integral(u)) <= 2.0 * bound, u
+    # the documented truncation bound, (ln2 / (2 pi^2)) / nu_max; u = 1
+    # (every cosine 1) comes closest to it
+    for nu_max in (1, 3, 100, 10_000):
+        bound = (LN2 / (2.0 * math.pi ** 2)) / nu_max
+        for u in (3.0, 5.0, 10.0, 6.7, 1.0):
+            series = sawtooth_log_integral_series(u, nu_max)
+            assert abs(series - closed_sawtooth_integral(u)) <= bound, (u, nu_max)
 
 
 def test_sawtooth_log_integral_series_dyadic_zero():
@@ -381,16 +384,17 @@ def test_w_frozen_values():
 
 
 def w_unmemoized(z, nu_max):
-    # W term by term in W's own order, from specfun's unmemoized functions
+    # W term by term in W's own order, from specfun's unmemoized functions;
+    # the prefactor -t^2 c_nu is 1/ln2 (test_w_prefactor_simplification)
     total = 0.0 + 0.0j
     for nu in range(1, nu_max + 1):
         t = 2.0 * math.pi * nu / LN2
         if t > specfun.IM_BAND:
             break
-        factor = -(t * t) * specfun.gamma_complex(1j * t) * specfun.zeta_complex(1.0 + 1j * t)
-        term = factor * fourier_coefficient(nu) * complex(math.cos(t * z), math.sin(t * z))
+        term = (specfun.gamma_complex(1j * t) * specfun.zeta_complex(1.0 + 1j * t)
+                * complex(math.cos(t * z), math.sin(t * z)))
         total += term + term.conjugate()
-    return total
+    return total / LN2
 
 
 def test_w_memo_is_bit_identical():
@@ -488,9 +492,14 @@ def test_estimate_breakdown_structure():
     lnln2 = math.log(LN2)
     regrouped = (1.0 / LN2 - 1.5) * math.log(u) + math.log(math.log(u)) - lnln2
     assert abs(bd.lin_term + bd.bline_term - regrouped) <= 1e-10
-    total = math.fsum((bd.quad_term, bd.lin_term, bd.bline_term, bd.w_value,
-                       bd.gauss_const, bd.h_const))
-    assert abs(bd.total - total) <= 1e-12
+    # total is the correctly rounded sum of the six terms, for both families
+    rng = random.Random(2001)
+    binary = binary_partition_params()
+    for n in [n] + [rng.randrange(2, 10 ** rng.randint(1, 300)) for _ in range(40)]:
+        for bd in (ln_ps_estimate(n), ln_Ph_estimate(n + 1, binary)):
+            terms = (bd.quad_term, bd.lin_term, bd.bline_term, bd.w_value,
+                     bd.gauss_const, bd.h_const)
+            assert bd.total == math.fsum(terms), n
 
 
 def test_estimate_against_exact_counts():

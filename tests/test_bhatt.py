@@ -135,6 +135,16 @@ def test_scan_bounds(binary500):
             run_audit(n_max, table)
 
 
+@pytest.mark.parametrize("drop_at, monotone", [(16, True), (17, False)])
+def test_summary_checks_monotone_from_16(drop_at, monotone):
+    # bounds 10, 11, ... with one step down at n = drop_at; only a drop
+    # past n = 16 counts
+    bounds = [10 + n - 2 * (n >= drop_at) for n in range(1, 31)]
+    summary = bhatt._summarize((1, bound) for bound in bounds)
+    assert summary.bound_monotone_from_16 is monotone
+    assert summary.first_violation is None
+
+
 def test_no_violation_below_3000():
     summary = run_audit(3000)
     assert summary.first_violation is None

@@ -178,6 +178,14 @@ def test_brute_force_examples():
     assert brute_force_count(9) == 5
 
 
+def test_brute_force_shares_no_code_with_the_builder(table500, monkeypatch):
+    def unavailable(n):
+        raise AssertionError("the oracle called mersenne_parts_upto")
+
+    monkeypatch.setattr(counting, "mersenne_parts_upto", unavailable)
+    assert [brute_force_count(n) for n in range(121)] == table500.counts[:121]
+
+
 def test_brute_force_rejects_oracle_misuse():
     with pytest.raises(DomainError):
         brute_force_count(301)

@@ -64,6 +64,16 @@ def test_budget_exhaustion_carries_best():
     assert best.evaluations == 15 + 30 * 4095
 
 
+def test_float_resolution_stops_before_the_budget():
+    # a one-ulp interval cannot be split: the loop ends at once, not after
+    # 4096 intervals, and the error of the one panel is reported
+    with pytest.raises(AccuracyError) as info:
+        integrate_adaptive(math.exp, 1.0, math.nextafter(1.0, 2.0), tol=1e-300)
+    best = info.value.best
+    assert best.evaluations == 15
+    assert best.error_estimate > 1e-300
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_integrand_raises_with_best(bad):
     for f in (lambda v: bad, lambda v: bad if v > 0.9 else v):

@@ -66,9 +66,10 @@ _TAIL_I = math.pi ** 2 / 12.0 - _EULER_GAMMA ** 2 / 2.0 - _STIELTJES_1
 TAIL_I_ERROR_BOUND = 8 * 2.0 ** -53
 # W's frequencies t_nu = 2 pi nu / ln2 inside the specfun band: nu = 1..22
 _W_FREQS = int(IM_BAND * LN2 / (2.0 * math.pi))
+_W_T = tuple(2.0 * math.pi * nu / LN2 for nu in range(1, _W_FREQS + 1))
 # W's domain |z| <= 2^53 / t_22, about 4.5e13: past it the top phase t_22 z
 # has no fractional digit left, and near 1e307 it overflows to inf
-_W_MAX_Z = 2.0 ** 53 / (2.0 * math.pi * _W_FREQS / LN2)
+_W_MAX_Z = 2.0 ** 53 / _W_T[-1]
 
 # W evaluates Gamma and zeta at the same few frequencies on every call, so
 # the names it calls them through remember one value per frequency; the
@@ -223,14 +224,15 @@ def binary_partition_params(tol: float = 1e-8) -> AsymptoticParams:
 
 
 def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
-    """Paired complex sum of the oscillation before taking the real part.
+    """The oscillation W(z) as a complex number whose imaginary part is 0.
 
     1/ln2 times the sum over 0 < |nu| <= nu_max of Gamma(i t) zeta(1 + i t)
     e^{i t z}, t = 2 pi nu / ln2.  The general term carries the prefactor
     -t^2 c_nu, and with the dyadic Fourier coefficients
     c_nu = -ln2/(4 pi^2 nu^2) and t^2 = 4 pi^2 nu^2 / ln^2 2 that is
-    exactly 1/ln2.  The -nu term is the conjugate of the +nu term, so the
-    imaginary part is exactly 0.
+    exactly 1/ln2.  The -nu term is the conjugate of the +nu term, as the
+    sawtooth series pairs its +-nu terms into cosines, so W is the real sum
+    (2/ln2) sum_{nu=1}^{min(nu_max, 22)} Re(Gamma(i t) zeta(1 + i t) e^{i t z}).
     Frequencies beyond the specfun band are dropped: |Gamma(it)| < 1e-130
     there, far below double noise.  z must be real with |z| <= 2^53 / t_22
     (about 4.5e13), where t_22 is the top frequency kept; past that the
@@ -239,13 +241,11 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     _check_int("nu_max", nu_max, 1)
     if not (_is_finite_real(z) and abs(z) <= _W_MAX_Z):
         raise DomainError(f"W needs a real z with |z| <= {_W_MAX_Z:.4g}, got {z!r}")
-    total = 0.0 + 0.0j
-    for nu in range(1, min(nu_max, _W_FREQS) + 1):
-        t = 2.0 * math.pi * nu / LN2
-        term = (gamma_complex(1j * t) * zeta_complex(1.0 + 1j * t)
-                * complex(math.cos(t * z), math.sin(t * z)))
-        total += term + term.conjugate()
-    return total / LN2
+    total = 0.0
+    for t in _W_T[:nu_max]:
+        c = gamma_complex(1j * t) * zeta_complex(1.0 + 1j * t)
+        total += c.real * math.cos(t * z) - c.imag * math.sin(t * z)
+    return complex(2.0 * total / LN2)
 
 
 def w_oscillation(z: float, nu_max: int = 16) -> float:

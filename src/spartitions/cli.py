@@ -12,7 +12,6 @@ stdout early), 2 numerical tolerance not met.
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -94,16 +93,16 @@ def _cmd_constants(args, emit):
         "tail_integral": tail,
         "tail_integral_error_bound": asymptotics.TAIL_I_ERROR_BOUND,
         "H": h,
-        "H_error_bound": tol + asymptotics.TAIL_I_ERROR_BOUND / math.log(2.0),
+        "H_error_bound": tol + asymptotics.A * asymptotics.TAIL_I_ERROR_BOUND,
     })
 
 
 def _cmd_w_eval(args, emit):
-    if args.points < 1:
-        raise DomainError(f"--points must be >= 1, got {args.points}")
-    period = math.log(2.0)
+    # past 2^53 points the grid j ln2 / points has no distinct float points
+    if not 1 <= args.points <= 2 ** 53:
+        raise DomainError(f"--points must be >= 1 and <= 2**53, got {args.points}")
     for j in range(args.points):
-        z = j * period / args.points
+        z = j * asymptotics.LN2 / args.points
         emit({"z": z, "w": asymptotics.w_oscillation(z, args.nu_max)})
 
 

@@ -410,6 +410,10 @@ def test_w_memo_holds_every_frequency():
     freqs = asymptotics._W_FREQS
     assert freqs == 22
     assert 2.0 * math.pi * freqs / LN2 <= specfun.IM_BAND < 2.0 * math.pi * (freqs + 1) / LN2
+    # one table of the frequencies, the expression W and its domain read
+    assert len(asymptotics._W_T) == freqs
+    assert all(t == 2.0 * math.pi * nu / LN2 for nu, t in enumerate(asymptotics._W_T, 1))
+    assert asymptotics._W_T[-1] <= specfun.IM_BAND
     w_oscillation_complex(0.0, freqs)
     before = [fn.cache_info() for fn in (asymptotics.gamma_complex, asymptotics.zeta_complex)]
     for nu_max in (1, 5, 16, 22, 23, 40):

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from dataclasses import asdict
+from itertools import chain
 
 import pytest
 
@@ -77,12 +78,49 @@ def test_w_eval(capsys):
     assert all(abs(r["w"]) < 1e-4 for r in recs)
 
 
-@pytest.mark.parametrize("points", ["0", "-3"])
+# 10^400 points would overflow the grid's float division, and past 2^53
+# points the grid has no distinct float points
+@pytest.mark.parametrize("points", ["0", "-3", pytest.param(str(10 ** 400), id="10**400"),
+                                    pytest.param(str(2 ** 53 + 1), id="2**53+1")])
 def test_w_eval_rejects_non_positive_points(capsys, points):
     assert run(["w-eval", "--points", points]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--points must be >= 1" in captured.err
+
+
+# a cheap valid call of every subcommand, flag by flag
+CHEAP_CALLS = {
+    "count": {"--n": "7"},
+    "table": {"--max-n": "10"},
+    "estimate": {"--n": "4096", "--tol": "1e-8", "--nu-max": "16"},
+    "constants": {"--tol": "1e-8"},
+    "w-eval": {"--points": "4", "--nu-max": "16"},
+    "bhatt-audit": {"--max-n": "20"},
+    "decompose": {"--n": "7"},
+    "modexp": {"--a": "2", "--n": "10", "--m": "1000"},
+    "binary-cross-check": {"--n": "512", "--nu-max": "16"},
+}
+# the last two are ints of 4300 and 4301 digits, Python's int-string limit
+# and one past it
+HOSTILE_ARGS = ["0", "-1", "1.5", "nan", "inf", "-inf", "1e308", "1e-400", "x", "",
+                str(10 ** 400), "1" + "0" * 4299, "1" + "0" * 4300]
+
+
+@pytest.mark.parametrize("command", sorted(CHEAP_CALLS))
+def test_hostile_argv_meets_the_contract(capsys, command):
+    # the CLI's twin of test_surface's hostile-value sweep: with each value of
+    # a cheap valid call replaced by each hostile string, run returns 0, 1 or
+    # 2 or argparse exits 1, and nothing else is raised
+    flags = CHEAP_CALLS[command]
+    for flag in flags:
+        for bad in HOSTILE_ARGS:
+            argv = [command, *chain.from_iterable({**flags, flag: bad}.items())]
+            try:
+                assert run(argv) in (0, 1, 2), (flag, bad[:20])
+            except SystemExit as exc:
+                assert exc.code == 1, (flag, bad[:20])
+            capsys.readouterr()
 
 
 def test_bhatt_audit_stream_and_summary(capsys):

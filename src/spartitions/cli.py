@@ -11,6 +11,7 @@ stdout early), 2 numerical tolerance not met.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -154,6 +155,7 @@ def _cmd_binary_cross_check(args, emit):
     emit(_estimate_record(args.n, bd, exact_ln))
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spartitions",
                      description="Exact Mersenne-part partition counts, "

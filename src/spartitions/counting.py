@@ -5,6 +5,7 @@ natural log of a count is :func:`ln_count`, math.log of the exact integer,
 which converts arbitrarily large counts without overflow.
 """
 
+import pickle
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import log
@@ -25,8 +26,9 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 300
 # the largest n_max of an exact table: a 10^6 p_s table takes about
-# 0.35-0.55 s and 113 MB, and the cost grows faster than n.  It also keeps
-# n_max + 1 below 2^31, which the limb width of _unbounded_dp needs
+# 0.23-0.35 s and 113 MB peak RSS, and the cost grows faster than n.  It
+# also keeps n_max + 1 below 2^31, which the limb width of _unbounded_dp
+# needs
 MAX_EXACT_N = 10 ** 6
 
 
@@ -122,9 +124,8 @@ def _unbounded_dp(n_max: int, parts: list) -> list:
     # next one without wrapping.  After a carry, one pass sums at most
     # n_max + 1 < 2^(63 - width) digits below 2^width, so it always fits.
     # Large parts first leave the digits small, so most passes need no
-    # carry.  The digits end unnormalized, which the combine's += allows.
-    # The uint64 scalars keep numpy's type promotion from turning a shift
-    # or mask into float64.
+    # carry.  The uint64 scalars keep numpy's type promotion from turning a
+    # shift or mask into float64.
     width = 63 - (n_max + 1).bit_length()
     shift = np.uint64(width)
     mask = np.uint64((1 << width) - 1)
@@ -134,9 +135,7 @@ def _unbounded_dp(n_max: int, parts: list) -> list:
     for p in parts:
         terms = n_max // p + 1
         if bound * terms >= 1 << 63:
-            for low, high in zip(limbs, limbs[1:]):
-                high += low >> shift
-                low &= mask
+            _carry(limbs, shift, mask)
             carry = limbs[-1] >> shift
             if carry.any():
                 limbs[-1] &= mask
@@ -145,11 +144,76 @@ def _unbounded_dp(n_max: int, parts: list) -> list:
         for limb in limbs:
             _running_sum(limb, p)
         bound *= terms
-    counts = limbs.pop().astype(object)
-    while limbs:
-        counts <<= width
-        counts += limbs.pop()
-    return counts.tolist()
+    # every digit but the top one below 2^width; the top one, below 2^63
+    # before this carry, takes less than 2^(64 - width) and stays in 64 bits
+    _carry(limbs, shift, mask)
+    if _bit_length(limbs, width) <= 64:
+        return _words(limbs, width, 1).ravel().tolist()
+    counts = [0] * (n_max + 1)
+    for start in range(0, n_max + 1, _BLOCK):
+        stop = start + _BLOCK
+        counts[start:stop] = _block_ints([limb[start:stop] for limb in limbs], width)
+    return counts
+
+
+# entries decoded together: a block's word and record buffers stay small
+# beside the table, and each block sizes its records from its own counts
+_BLOCK = 1 << 14
+
+
+def _carry(limbs: list, shift, mask) -> None:
+    # carry every digit but the top one below 2^width, lowest first
+    for low, high in zip(limbs, limbs[1:]):
+        high += low >> shift
+        low &= mask
+
+
+def _bit_length(digits: list, width: int) -> int:
+    # bit length of the largest count, from carried digits: the highest
+    # digit that is not zero everywhere, and its largest value.  Counts may
+    # fall along a table (forty parts 3 leave 0 off the multiples of 3),
+    # so neither the last entry nor the last block stands for the rest
+    top = len(digits) - 1
+    while top and not digits[top].any():
+        top -= 1
+    return width * top + int(digits[top].max()).bit_length()
+
+
+def _words(digits: list, width: int, k: int) -> np.ndarray:
+    # the counts as k little-endian 64-bit words each, lowest word first;
+    # the carried digit i holds bits width*i up, so it spans at most two
+    # words, and bits past word k - 1 must all be zero
+    words = np.zeros((len(digits[0]), k), dtype="<u8")
+    for i, digit in enumerate(digits):
+        j, offset = divmod(width * i, 64)
+        if j < k:
+            words[:, j] |= digit << np.uint64(offset)
+        if offset and j + 1 < k:
+            words[:, j + 1] |= digit >> np.uint64(64 - offset)
+    return words
+
+
+def _block_ints(digits: list, width: int) -> list:
+    # One block's counts as Python ints, each built once, in C.  Counts of at
+    # most 64 bits come from one tolist().  Any others are written as pickle
+    # LONG1 records (opcode 0x8a, a length byte, then the value in
+    # little-endian two's complement), one length for the whole block with
+    # room for a 0 sign bit over its largest count, and one pickle.loads
+    # builds the list.  The buffer holds only those records, made here from
+    # this function's own words, never from outside input.
+    bits = _bit_length(digits, width)
+    if bits <= 64:
+        return _words(digits, width, 1).ravel().tolist()
+    size = bits // 8 + 1
+    m = len(digits[0])
+    records = bytearray(m * (size + 2) + 5)
+    records[:3] = b"\x80\x02("  # PROTO 2, MARK
+    records[-2:] = b"l."  # LIST of everything since the MARK, STOP
+    fields = np.frombuffer(records, np.uint8, m * (size + 2), 3).reshape(m, size + 2)
+    fields[:, 0] = 0x8A
+    fields[:, 1] = size
+    fields[:, 2:] = _words(digits, width, -(-size // 8)).view(np.uint8)[:, :size]
+    return pickle.loads(records)
 
 
 def count_s_partitions_table(n_max: int) -> CountTable:
@@ -158,9 +222,11 @@ def count_s_partitions_table(n_max: int) -> CountTable:
     One numpy pass per part, largest part first, over fixed-width uint64
     digits, so O(n_max log n_max) machine additions per digit; the digits
     are carried only when a bound on them says the next pass could
-    overflow, and become Python ints once, at the end.  On a 2-vCPU Xeon
-    with CPython 3.11 and numpy 2.4, n_max = 10^5 takes about 16-22 ms and
-    n_max = 10^6 about 0.35-0.55 s.  Raises DomainError past MAX_EXACT_N.
+    overflow.  At the end each count is built once, in C, in blocks of
+    2^14: one tolist() of 64-bit words where the block's counts fit them,
+    else one pickle.loads of the block's LONG1 records.  On a 2-vCPU Xeon
+    with CPython 3.11 and numpy 2.4, n_max = 10^5 takes about 12-19 ms and
+    n_max = 10^6 about 0.23-0.35 s.  Raises DomainError past MAX_EXACT_N.
     """
     _check_n_max(n_max)
     return CountTable(n_max, _unbounded_dp(n_max, mersenne_parts_upto(n_max)[::-1]), "mersenne")

@@ -9,7 +9,7 @@ from itertools import chain
 
 import pytest
 
-from spartitions import AccuracyError, asymptotics, bhatt_bound, counting, run_audit
+from spartitions import AccuracyError, asymptotics, bhatt_bound, cli, counting, run_audit
 from spartitions.cli import run
 
 
@@ -313,6 +313,34 @@ def test_accuracy_error_exit_2(capsys, monkeypatch):
 def test_domain_error_exit_1(capsys):
     assert run(["count", "--n", "-3"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# valid calls in both formats, a usage error, a DomainError, a valid call
+ONE_PROCESS_CALLS = [
+    [*fmt, *argv]
+    for argv in (["count", "--n", "7"], ["table", "--max-n", "10"],
+                 ["estimate", "--n", "4096"], ["bhatt-audit", "--max-n", "20"],
+                 ["decompose", "--n", "7"])
+    for fmt in ([], ["--format", "csv"])
+] + [["count"], ["count", "--n", "-3"], ["modexp", "--a", "2", "--n", "10", "--m", "1000"]]
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # run builds its parser once per process; each call through it ends
+    # with the stdout, stderr and exit code that a fresh parser gives
+    def outcome(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert cli._build_parser() is cli._build_parser()
+    reused = [outcome(argv) for argv in ONE_PROCESS_CALLS]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert [outcome(argv) for argv in ONE_PROCESS_CALLS] == reused
+    assert [code for code, _, _ in reused[-3:]] == [("SystemExit", 1), 1, 0]
 
 
 @pytest.mark.parametrize("argv", [["count", "--n"], ["table", "--max-n"],

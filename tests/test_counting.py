@@ -120,11 +120,17 @@ def test_table_matches_loop_oracle_at_row_edges(build, offset):
 
 
 @pytest.mark.parametrize("n_max, limbs", [(9710, 1), (9711, 2), (9712, 2),
-                                           (16382, 2), (16383, 2), (16384, 2)])
+                                           (16382, 2), (16383, 2), (16384, 2),
+                                           (29780, 2), (29781, 2),
+                                           (32766, 2), (32767, 2), (32768, 2)])
 def test_table_matches_loop_oracle_at_limb_edges(n_max, limbs):
     # the digits are 63 - bit_length(n_max + 1) bits wide: 49 up to
     # n_max = 16382 and 48 from 16383; p_s(9711) is the first count that
-    # needs a second digit
+    # needs a second digit.  The counts become ints in blocks of 2^14
+    # entries: n_max + 1 = 2^14 - 1, 2^14, 2^14 + 1 and the same about
+    # 2^15, where the block holding p_s(29781), the first count of 2^64 or
+    # more, ends.  p_s(29780) is the last table all of whose counts fit
+    # one 64-bit word
     width = 63 - (n_max + 1).bit_length()
     parts = mersenne_parts_upto(n_max)
     expected = _loop_dp(n_max, parts)
@@ -144,10 +150,33 @@ def test_limb_digits_never_wrap():
     # k passes of the part 1 are k prefix sums, so every digit of every
     # entry is summed into the last one: the no-overflow bound of the digit
     # width is nearly reached.  The counts are comb(n + k - 1, k - 1), up
-    # to 318 bits here
+    # to 315 bits here
     n_max, k = 4095, 40
     expected = [math.comb(n + k - 1, k - 1) for n in range(n_max + 1)]
     assert counting._unbounded_dp(n_max, [1] * k) == expected
+
+
+@pytest.mark.parametrize("n_max, k, bits", [(4095, 40, 254), (4097, 40, 254), (32768, 7, 72)])
+def test_limb_digits_of_falling_counts(n_max, k, bits):
+    # k passes of the part 3: comb(n/3 + k - 1, k - 1) at multiples of 3
+    # and 0 between, so the counts fall along the table.  The last count of
+    # the tables to 4097 and 32768 is 0, and so is that of the block ending
+    # at 32767, while counts before them need records of several words
+    expected = _loop_dp(n_max, [3] * k)
+    assert max(expected).bit_length() == bits
+    assert counting._unbounded_dp(n_max, [3] * k) == expected
+
+
+@pytest.mark.parametrize("n_max, bits", [(47740, 71), (47741, 72), (79377, 79), (79378, 80)])
+def test_table_matches_object_oracle_at_record_lengths(n_max, bits):
+    # counts past 64 bits become ints from little-endian two's complement
+    # records of bits // 8 + 1 bytes: a count of 8j bits needs its own
+    # byte for the 0 sign bit, one of 8j - 1 bits just fits.  p_s(n_max),
+    # the largest count of its block, is the last of 8j - 1 bits or the
+    # first of 8j
+    counts = count_s_partitions_table(n_max).counts
+    assert counts[-1].bit_length() == bits
+    assert counts == _object_dp(n_max, mersenne_parts_upto(n_max))
 
 
 def test_table_matches_object_oracle_at_the_limit():
@@ -159,8 +188,9 @@ def test_table_matches_object_oracle_at_the_limit():
 
 @pytest.mark.parametrize("build, offset", FAMILIES)
 def test_table_entries_are_python_ints(build, offset):
-    # the p_s digits: 5000 fits one, 2*10^4 needs two
-    for n_max in (5000, DIGEST_N):
+    # the p_s digits: 5000 fits one, 2*10^4 needs two; past 29780 the
+    # counts outgrow 64 bits
+    for n_max in (5000, DIGEST_N, 10 ** 5):
         table = build(n_max)
         assert type(table.counts) is list
         assert all(type(c) is int for c in table.counts)
@@ -314,7 +344,7 @@ def test_binary_table_cost():
 
 
 def test_s_table_cost():
-    # the docstring's 16-22 ms at 10^5, with room for a host that drifts
+    # the docstring's 12-19 ms at 10^5, with room for a host that drifts
     best = math.inf
     for _ in range(3):
         start = time.perf_counter()

@@ -26,7 +26,7 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 300
 # the largest n_max of an exact table: a 10^6 p_s table takes about
-# 0.23-0.35 s and 113 MB peak RSS, and the cost grows faster than n.  It
+# 0.24-0.28 s and 105 MB peak RSS, and the cost grows faster than n.  It
 # also keeps n_max + 1 below 2^31, which the limb width of _unbounded_dp
 # needs
 MAX_EXACT_N = 10 ** 6
@@ -119,7 +119,7 @@ def _unbounded_dp(n_max: int, parts: list) -> list:
     # a Python int above every digit.  A pass with part p sums at most
     # n_max // p + 1 digits, so it multiplies bound by that many; a pass
     # that would take bound to 2^63 first carries every digit below 2^width
-    # (opening a limb when the top one carries out), so a digit never
+    # (_carry opens a limb when the top one carries out), so a digit never
     # exceeds 2^63 - 1 and the carry adds less than 2^(63 - width) into the
     # next one without wrapping.  After a carry, one pass sums at most
     # n_max + 1 < 2^(63 - width) digits below 2^width, so it always fits.
@@ -136,19 +136,11 @@ def _unbounded_dp(n_max: int, parts: list) -> list:
         terms = n_max // p + 1
         if bound * terms >= 1 << 63:
             _carry(limbs, shift, mask)
-            carry = limbs[-1] >> shift
-            if carry.any():
-                limbs[-1] &= mask
-                limbs.append(carry)
             bound = (1 << width) - 1
         for limb in limbs:
             _running_sum(limb, p)
         bound *= terms
-    # every digit but the top one below 2^width; the top one, below 2^63
-    # before this carry, takes less than 2^(64 - width) and stays in 64 bits
     _carry(limbs, shift, mask)
-    if _bit_length(limbs, width) <= 64:
-        return _words(limbs, width, 1).ravel().tolist()
     counts = [0] * (n_max + 1)
     for start in range(0, n_max + 1, _BLOCK):
         stop = start + _BLOCK
@@ -162,10 +154,14 @@ _BLOCK = 1 << 14
 
 
 def _carry(limbs: list, shift, mask) -> None:
-    # carry every digit but the top one below 2^width, lowest first
+    # carry every digit below 2^width, lowest first; the top one opens a
+    # limb when it carries out, tested by a bool array, not a shifted copy
     for low, high in zip(limbs, limbs[1:]):
         high += low >> shift
         low &= mask
+    if (limbs[-1] > mask).any():
+        limbs.append(limbs[-1] >> shift)
+        limbs[-2] &= mask
 
 
 def _bit_length(digits: list, width: int) -> int:
@@ -225,8 +221,8 @@ def count_s_partitions_table(n_max: int) -> CountTable:
     overflow.  At the end each count is built once, in C, in blocks of
     2^14: one tolist() of 64-bit words where the block's counts fit them,
     else one pickle.loads of the block's LONG1 records.  On a 2-vCPU Xeon
-    with CPython 3.11 and numpy 2.4, n_max = 10^5 takes about 12-19 ms and
-    n_max = 10^6 about 0.23-0.35 s.  Raises DomainError past MAX_EXACT_N.
+    with CPython 3.11 and numpy 2.4, n_max = 10^5 takes about 13-19 ms and
+    n_max = 10^6 about 0.24-0.28 s.  Raises DomainError past MAX_EXACT_N.
     """
     _check_n_max(n_max)
     return CountTable(n_max, _unbounded_dp(n_max, mersenne_parts_upto(n_max)[::-1]), "mersenne")

@@ -167,6 +167,62 @@ def test_limb_digits_of_falling_counts(n_max, k, bits):
     assert counting._unbounded_dp(n_max, [3] * k) == expected
 
 
+@pytest.mark.parametrize("n_max, carries", [(10 ** 5, 5), (MAX_EXACT_N, 9)])
+def test_s_table_carries_as_often_as_the_readme_says(n_max, carries, monkeypatch):
+    # the README's counts: 5 carries among the 16 passes of a 10^5 table and
+    # 9 among the 19 of a 10^6 one, then the last carry; a bound that grew
+    # faster or slower than the digits can would carry more or less often
+    calls = []
+    carry = counting._carry
+    monkeypatch.setattr(counting, "_carry", lambda *args: calls.append(carry(*args)))
+    count_s_partitions_table(n_max)
+    assert len(calls) == carries + 1
+
+
+@pytest.mark.parametrize("n_max", [7, 14])
+def test_dp_carries_where_a_doubling_bound_reaches_2_63(n_max, monkeypatch):
+    # a pass of the part n_max sums two terms, so the bound doubles: it
+    # reaches 2^63 before pass 63.  The digits are 63 - bit_length(n_max + 1)
+    # = 59 bits wide for n_max + 1 = 8 and 15, so that carry restarts the
+    # bound at 2^59 - 1; (2^59 - 1) * 2^4 < 2^63 <= (2^59 - 1) * 2^5, so the
+    # next carry comes before pass 67.  Every count fits one digit
+    events = []
+    running_sum, carry = counting._running_sum, counting._carry
+    monkeypatch.setattr(counting, "_running_sum",
+                        lambda *args: events.append("+") or running_sum(*args))
+    monkeypatch.setattr(counting, "_carry", lambda *args: events.append("c") or carry(*args))
+    assert counting._unbounded_dp(n_max, [n_max] * 70) == [1] + [0] * (n_max - 1) + [70]
+    assert "".join(events) == "+" * 62 + "c" + "+" * 4 + "c" + "+" * 4 + "c"
+
+
+@pytest.mark.parametrize("width, digits, opens", [
+    # one limb whose top digit is the largest a pass leaves, 2^63 - 1
+    (43, [[(1 << 63) - 1, 5, 0]], True),
+    # a top digit equal to the mask stays; no limb opens
+    (43, [[(1 << 43) - 1, 1 << 42, 7]], False),
+    # the lower digits carry into an all-zero top limb, which takes them
+    (49, [[(1 << 63) - 1, 3], [0, 0]], False),
+    # several limbs: the carries chain up and the top one carries out
+    (48, [[(1 << 63) - 1, 1 << 50, 1], [(1 << 62) - 5, 3, 0], [1 << 48, 0, (1 << 48) - 1]], True),
+    # several limbs whose carries stay below the top mask
+    (48, [[(1 << 62) - 1, 9, 0], [(1 << 47) + 2, 0, 1], [(1 << 47) - 1, 4, 0]], False),
+])
+def test_carry_keeps_the_counts_and_opens_a_limb_on_carry_out(width, digits, opens):
+    limbs = [np.array(d, dtype=np.uint64) for d in digits]
+
+    def values():
+        return [sum(int(limb[j]) << (width * i) for i, limb in enumerate(limbs))
+                for j in range(len(limbs[0]))]
+
+    before = values()
+    counting._carry(limbs, np.uint64(width), np.uint64((1 << width) - 1))
+    assert values() == before
+    assert all(int(limb.max()) < 1 << width for limb in limbs)
+    assert len(limbs) == len(digits) + opens
+    # a limb opens exactly when some count needs more digits than there were
+    assert opens == (max(before) >> (width * len(digits)) > 0)
+
+
 @pytest.mark.parametrize("n_max, bits", [(47740, 71), (47741, 72), (79377, 79), (79378, 80)])
 def test_table_matches_object_oracle_at_record_lengths(n_max, bits):
     # counts past 64 bits become ints from little-endian two's complement
@@ -344,7 +400,7 @@ def test_binary_table_cost():
 
 
 def test_s_table_cost():
-    # the docstring's 12-19 ms at 10^5, with room for a host that drifts
+    # the docstring's 13-19 ms at 10^5, with room for a host that drifts
     best = math.inf
     for _ in range(3):
         start = time.perf_counter()

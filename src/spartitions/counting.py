@@ -164,51 +164,46 @@ def _carry(limbs: list, shift, mask) -> None:
         limbs[-2] &= mask
 
 
-def _bit_length(digits: list, width: int) -> int:
-    # bit length of the largest count, from carried digits: the highest
-    # digit that is not zero everywhere, and its largest value.  Counts may
-    # fall along a table (forty parts 3 leave 0 off the multiples of 3),
-    # so neither the last entry nor the last block stands for the rest
-    top = len(digits) - 1
-    while top and not digits[top].any():
-        top -= 1
-    return width * top + int(digits[top].max()).bit_length()
-
-
-def _words(digits: list, width: int, k: int) -> np.ndarray:
-    # the counts as k little-endian 64-bit words each, lowest word first;
-    # the carried digit i holds bits width*i up, so it spans at most two
-    # words, and bits past word k - 1 must all be zero
-    words = np.zeros((len(digits[0]), k), dtype="<u8")
+def _words(digits: list, width: int) -> np.ndarray:
+    # the counts as little-endian 64-bit words, lowest word first, with a
+    # bit over the top digit for a 0 sign; the carried digit i holds bits
+    # width*i up, so it spans at most two words, or sits inside the last
+    words = np.zeros((len(digits[0]), width * len(digits) // 64 + 1), dtype="<u8")
     for i, digit in enumerate(digits):
         j, offset = divmod(width * i, 64)
-        if j < k:
-            words[:, j] |= digit << np.uint64(offset)
-        if offset and j + 1 < k:
+        words[:, j] |= digit << np.uint64(offset)
+        if offset and j + 1 < words.shape[1]:
             words[:, j + 1] |= digit >> np.uint64(64 - offset)
     return words
 
 
 def _block_ints(digits: list, width: int) -> list:
-    # One block's counts as Python ints, each built once, in C.  Counts of at
-    # most 64 bits come from one tolist().  Any others are written as pickle
+    # One block's counts as Python ints, each built once, in C, from its
+    # words, packed once and sized from the highest word not zero
+    # everywhere and its largest value.  Counts may fall along a table
+    # (forty parts 3 leave 0 off the multiples of 3), so neither the last
+    # entry nor the last block stands for the rest.  Counts that fit word 0
+    # come from one tolist().  Any others are written as pickle
     # LONG1 records (opcode 0x8a, a length byte, then the value in
     # little-endian two's complement), one length for the whole block with
     # room for a 0 sign bit over its largest count, and one pickle.loads
     # builds the list.  The buffer holds only those records, made here from
     # this function's own words, never from outside input.
-    bits = _bit_length(digits, width)
-    if bits <= 64:
-        return _words(digits, width, 1).ravel().tolist()
-    size = bits // 8 + 1
-    m = len(digits[0])
+    words = _words(digits, width)
+    top = words.shape[1] - 1
+    while top and not words[:, top].any():
+        top -= 1
+    if not top:
+        return words[:, 0].tolist()
+    size = 8 * top + int(words[:, top].max()).bit_length() // 8 + 1
+    m = len(words)
     records = bytearray(m * (size + 2) + 5)
     records[:3] = b"\x80\x02("  # PROTO 2, MARK
     records[-2:] = b"l."  # LIST of everything since the MARK, STOP
     fields = np.frombuffer(records, np.uint8, m * (size + 2), 3).reshape(m, size + 2)
     fields[:, 0] = 0x8A
     fields[:, 1] = size
-    fields[:, 2:] = _words(digits, width, -(-size // 8)).view(np.uint8)[:, :size]
+    fields[:, 2:] = words.view(np.uint8)[:, :size]
     return pickle.loads(records)
 
 
@@ -219,8 +214,9 @@ def count_s_partitions_table(n_max: int) -> CountTable:
     digits, so O(n_max log n_max) machine additions per digit; the digits
     are carried only when a bound on them says the next pass could
     overflow.  At the end each count is built once, in C, in blocks of
-    2^14: one tolist() of 64-bit words where the block's counts fit them,
-    else one pickle.loads of the block's LONG1 records.  On a 2-vCPU Xeon
+    2^14, each packed once into the table's width of 64-bit words and
+    sized from its highest nonzero word: one tolist() where that is word
+    0, else one pickle.loads of the block's LONG1 records.  On a 2-vCPU Xeon
     with CPython 3.11 and numpy 2.4, n_max = 10^5 takes about 13-19 ms and
     n_max = 10^6 about 0.24-0.28 s.  Raises DomainError past MAX_EXACT_N.
     """

@@ -145,6 +145,12 @@ def test_summary_checks_monotone_from_16(drop_at, monotone):
     assert summary.first_violation is None
 
 
+def test_summary_counts_only_strict_violations():
+    # a tie exact == bound is no violation; n = 2 and 4 exceed their bounds
+    summary = bhatt._summarize([(5, 5), (6, 5), (4, 6), (9, 5), (5, 5)])
+    assert (summary.first_violation, summary.violations) == (2, 2)
+
+
 def test_no_violation_below_3000():
     summary = run_audit(3000)
     assert summary.first_violation is None
@@ -164,6 +170,9 @@ def test_first_violation_is_found():
     table = count_s_partitions_table(rec_n)
     assert table[rec_n] > bhatt_bound(rec_n)
     assert table[rec_n - 1] <= bhatt_bound(rec_n - 1) or rec_n == 1
+    # every n from the first violation to 4095 violates (the set below 10^6
+    # is pinned in the next test), so the summary counts each of them
+    assert summary.violations == 4000 - rec_n + 1
 
 
 def test_log_ratio_increasing_small_grid():

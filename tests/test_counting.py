@@ -223,6 +223,23 @@ def test_carry_keeps_the_counts_and_opens_a_limb_on_carry_out(width, digits, ope
     assert opens == (max(before) >> (width * len(digits)) > 0)
 
 
+@pytest.mark.parametrize("width, limbs", [(62, 1), (49, 2), (43, 3), (48, 4), (50, 5)])
+def test_words_hold_every_digit_below_a_zero_sign_bit(width, limbs):
+    # random digits below 2^width, and rows of 2^width - 1 in every digit.
+    # At (48, 4) the digits fill three words, so the spare fourth is 0; at
+    # (50, 5) the top digit, bits 200-249, sits inside the last word, and
+    # the LONG1 records of 2^250 - 1 take all 32 bytes of the four words
+    rng = random.Random(width * limbs)
+    rows = [[rng.randrange(1 << width) for _ in range(limbs)] for _ in range(40)]
+    rows[::8] = [[(1 << width) - 1] * limbs] * 5
+    expected = [sum(d << (width * i) for i, d in enumerate(row)) for row in rows]
+    digits = [np.array(d, dtype=np.uint64) for d in zip(*rows)]
+    words = counting._words(digits, width)
+    assert [int.from_bytes(w.tobytes(), "little") for w in words] == expected
+    assert not (words[:, -1] >> np.uint64(63)).any()
+    assert counting._block_ints(digits, width) == expected
+
+
 @pytest.mark.parametrize("n_max, bits", [(47740, 71), (47741, 72), (79377, 79), (79378, 80)])
 def test_table_matches_object_oracle_at_record_lengths(n_max, bits):
     # counts past 64 bits become ints from little-endian two's complement
@@ -262,6 +279,9 @@ def test_brute_force_examples():
     assert brute_force_count(0) == 1
     assert brute_force_count(3) == 2      # {3}, {1,1,1}
     assert brute_force_count(9) == 5
+    # the docstring's limit, written out: a smaller BRUTE_FORCE_LIMIT
+    # would reject it
+    assert brute_force_count(300) == 87977
 
 
 def test_brute_force_shares_no_code_with_the_builder(table500, monkeypatch):
@@ -304,6 +324,8 @@ def test_cumulative_examples(table500):
     # 1+1+1+2+2+2+3+4: all counts below 8
     assert cumulative_P(8, table500) == 16
     assert cumulative_P(8, table500) == sum(table500.counts[:8])
+    # a table that ends at u - 2 is too short and is rebuilt, not summed
+    assert cumulative_P(8, count_s_partitions_table(6)) == 16
 
 
 def test_cumulative_difference_identity(table500):
@@ -333,6 +355,7 @@ def test_cumulative_domain(table500, binary500):
 def test_table_bounds():
     table = count_s_partitions_table(10)
     assert table[0] == 1 and table[10] == 6
+    assert table.ln(0) == 0.0 and table.ln(10) == math.log(6)
     # non-int and bool indices too: a float index fails inside the list
     # lookup, and True would read counts[1]
     for n in (-1, 11, 1000, 2.0, 2.5, True, False):

@@ -1,20 +1,15 @@
 """Exact counting of partitions into Mersenne parts 1, 3, 7, 15, ...
 
-Builds the DP table, spot-checks it against the independent brute-force
-enumerator, and shows the cumulative counter P(u) that bridges counts
-to the asymptotic machinery.
+Builds the DP table and spot-checks it against the independent
+brute-force enumerator.  The asymptotic estimate of demo 03 tracks these
+point counts p_s(n), not their running sums.
 """
 
-from spartitions import (
-    brute_force_count,
-    count_s_partitions_table,
-    cumulative_P,
-    mersenne_parts_upto,
-)
+from spartitions import brute_force_count, count_s_partitions_table
 
 N = 300
 
-print(f"parts available up to {N}: {mersenne_parts_upto(N)}")
+print(f"parts available up to {N}: {[2 ** k - 1 for k in range(1, (N + 1).bit_length())]}")
 
 table = count_s_partitions_table(N)
 print(f"\np_s(n) for n = 0..15: {table.counts[:16]}")
@@ -25,10 +20,3 @@ for n in (7, 10, 100, 300):
     bf = brute_force_count(n)
     mark = "ok" if bf == table[n] else "MISMATCH"
     print(f"  n={n:>4}: dp={table[n]} brute={bf}  [{mark}]")
-
-print("\ncumulative counter P(u) = #solutions with sum < u:")
-for u in (1, 4, 8, 100):
-    print(f"  P({u}) = {cumulative_P(u, table)}")
-print("difference identity P(u+1) - P(u) = p_s(u):",
-      all(cumulative_P(u + 1, table) - cumulative_P(u, table) == table[u]
-          for u in range(1, N)))

@@ -24,9 +24,7 @@ from .counting import (
     brute_force_count,
     count_binary_partitions_table,
     count_s_partitions_table,
-    cumulative_P,
     ln_count,
-    mersenne_parts_upto,
 )
 from .errors import AccuracyError, DomainError
 from .modexp import (

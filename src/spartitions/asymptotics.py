@@ -2,14 +2,22 @@
 Fourier oscillation, and the assembled estimate.
 
 For part sequences whose counting function is logarithmic,
-N(u) = a ln u + b + R(u), the number P_h(u) of solutions of
-r1*l1 + r2*l2 + ... < u satisfies
+N(u) = a ln u + b + R(u), the estimate
 
     ln P_h(u) = a/2 (ln u - lnln u - ln a)^2 + (a - 1/2) ln u
                 + (b - 1/2)(ln u - lnln u - ln a)
-                + W(ln u - lnln u - ln a) - ln(2 pi)/2 + H + o(1),
+                + W(ln u - lnln u - ln a) - ln(2 pi)/2 + H + o(1)
 
-with H = c - b ln l1 - a ln^2(l1)/2 + a * I, where c is the mean of the
+at u = n + 1 is of ln p(n), the point count: the number of partitions of
+n into the parts l1, l2, ..., which acceptance criteria 8 and 9 compare
+it against.  It is not the cumulative count of solutions of
+r1*l1 + r2*l2 + ... < u, whose ln lies higher by a growing margin.  For
+Mersenne parts at n = 10^3, 10^4, 10^5 and 10^6 the estimate is 18.662,
+35.138, 58.218 and 88.133, ln p_s(n) is 17.604, 34.217, 57.387 and
+87.370, and ln of p_s(0) + ... + p_s(n) is 22.617, 41.178, 66.380 and
+98.449.
+
+H = c - b ln l1 - a ln^2(l1)/2 + a * I, where c is the mean of the
 integrated remainder, I is a fixed tail integral with a closed form, and
 W is a small periodic oscillation built from Gamma and zeta on the
 imaginary axis.
@@ -256,7 +264,8 @@ def w_oscillation(z: float, nu_max: int = 16) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticBreakdown:
-    """Term-by-term decomposition of one ln P_h(u) estimate.
+    """Term-by-term decomposition of one ln P_h(u) estimate, which at
+    u = n + 1 estimates ln p(n), the point count.
 
     total is math.fsum of the six terms: their exact sum, correctly
     rounded, whatever the term order.
@@ -273,8 +282,10 @@ class AsymptoticBreakdown:
 
 def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = 1e-8,
                    nu_max: int = 16) -> AsymptoticBreakdown:
-    """Assemble the ln P_h(u) estimate of a dyadic family for finite u > e.
-    An exact int u may lie beyond the float range."""
+    """Assemble the ln P_h(u) estimate of a dyadic family for finite u > e:
+    at u = n + 1, of ln p(n), the number of partitions of n into the
+    family's parts, not of the cumulative count over all m < u.  An exact
+    int u may lie beyond the float range."""
     if not (_is_real(u) and math.e < u < math.inf):
         raise DomainError(f"estimate needs finite u > e, got {u!r}")
     if not isinstance(params, AsymptoticParams):

@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 
 from . import asymptotics, bhatt, counting, modexp
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _check_int
 
 __all__ = ["main", "run"]
 
@@ -126,11 +126,10 @@ def _cmd_bhatt_audit(args, emit):
 
 def _cmd_decompose(args, emit):
     part = modexp.greedy_decompose(args.n)
-    emit({
-        "n": args.n,
-        "exponents": list(part.exponents),
-        "parts": [str(p) for p in part.parts()],
-    })
+    lists = {"exponents": list(part.exponents), "parts": [str(p) for p in part.parts()]}
+    if args.format == "csv":  # a CSV cell holds each list as its JSON text
+        lists = {key: json.dumps(value) for key, value in lists.items()}
+    emit({"n": args.n, **lists})
 
 
 def _cmd_modexp(args, emit):
@@ -149,6 +148,7 @@ def _cmd_modexp(args, emit):
 
 
 def _cmd_binary_cross_check(args, emit):
+    _check_int("n", args.n, 2)
     exact_ln = counting.count_binary_partitions_table(args.n).ln(args.n)
     bd = asymptotics.ln_Ph_estimate(args.n + 1, asymptotics.binary_partition_params(),
                                     nu_max=args.nu_max)

@@ -16,11 +16,9 @@ from .errors import DomainError, _check_int
 
 __all__ = [
     "CountTable",
-    "mersenne_parts_upto",
     "count_s_partitions_table",
     "count_binary_partitions_table",
     "brute_force_count",
-    "cumulative_P",
     "ln_count",
 ]
 
@@ -66,17 +64,6 @@ class CountTable:
         if type(n) is not int or not 0 <= n <= self.n_max:
             raise DomainError(f"table holds an int 0 <= n <= {self.n_max}, got {n!r}")
         return ln_count(self.counts[n])
-
-
-def mersenne_parts_upto(n: int) -> list:
-    """All parts 2^k - 1 <= n with k >= 1, in ascending order."""
-    _check_int("n", n, 0)
-    parts = []
-    k = 1
-    while (1 << k) - 1 <= n:
-        parts.append((1 << k) - 1)
-        k += 1
-    return parts
 
 
 def _check_s_table(table) -> None:
@@ -221,7 +208,9 @@ def count_s_partitions_table(n_max: int) -> CountTable:
     n_max = 10^6 about 0.24-0.28 s.  Raises DomainError past MAX_EXACT_N.
     """
     _check_n_max(n_max)
-    return CountTable(n_max, _unbounded_dp(n_max, mersenne_parts_upto(n_max)[::-1]), "mersenne")
+    # the parts 2^k - 1 <= n_max, k >= 1, largest first
+    parts = [(1 << k) - 1 for k in range((n_max + 1).bit_length() - 1, 0, -1)]
+    return CountTable(n_max, _unbounded_dp(n_max, parts), "mersenne")
 
 
 def count_binary_partitions_table(n_max: int) -> CountTable:
@@ -285,19 +274,6 @@ def brute_force_count(n: int) -> int:
         return total
 
     return scan(0, n)
-
-
-def cumulative_P(u: int, table: CountTable | None = None) -> int:
-    """Number of Mersenne-part partitions of all m < u (integer u >= 1).
-
-    This is the solution counter P(u) of r1*1 + r2*3 + r3*7 + ... < u,
-    so consecutive differences give back the plain counts.
-    """
-    _check_int("u", u, 1)
-    _check_s_table(table)
-    if table is None or table.n_max < u - 1:
-        table = count_s_partitions_table(u - 1)
-    return sum(table.counts[:u])
 
 
 def ln_count(value: int) -> float:

@@ -521,6 +521,17 @@ def test_estimate_against_exact_counts():
     assert abs(err_1e4 - 0.9216) <= 2e-3
 
 
+def test_estimate_tracks_the_point_count_not_the_cumulative_one():
+    # at u = n + 1 the estimate follows ln p_s(n), within 1.058, 0.922 and
+    # 0.831 at 10^3, 10^4 and 10^5; ln of p_s(0) + ... + p_s(n) lies
+    # 3.955, 6.040 and 8.162 above it, a gap that grows with n
+    counts = count_s_partitions_table(10 ** 5).counts
+    for n in (10 ** 3, 10 ** 4, 10 ** 5):
+        total = ln_ps_estimate(n).total
+        assert abs(total - math.log(counts[n])) < 1.1, n
+        assert math.log(sum(counts[:n + 1])) - total > 3.5, n
+
+
 def test_estimate_beyond_float_range():
     # n + 1 = 10^400 + 1 has no float; the log terms come from the exact int
     n = 10 ** 400

@@ -44,6 +44,19 @@ def test_decompose(capsys):
     assert recs[0]["parts"] == ["7"]
 
 
+@pytest.mark.parametrize("n", [0, 7, 10 ** 6])
+def test_csv_decompose_cells_hold_json_lists(capsys, n):
+    # each list-valued CSV cell is the JSON text of the JSON record's list,
+    # not a Python repr with single-quoted strings
+    code, recs = run_json(capsys, ["decompose", "--n", str(n)])
+    assert code == 0
+    assert run(["--format", "csv", "decompose", "--n", str(n)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1 and rows[0]["n"] == str(n)
+    for key in ("exponents", "parts"):
+        assert json.loads(rows[0][key]) == recs[0][key]
+
+
 def test_estimate_includes_exact(capsys):
     code, recs = run_json(capsys, ["estimate", "--n", "4096"])
     assert code == 0
@@ -313,6 +326,13 @@ def test_accuracy_error_exit_2(capsys, monkeypatch):
 def test_domain_error_exit_1(capsys):
     assert run(["count", "--n", "-3"]) == 1
     assert "error" in capsys.readouterr().err
+    # the message names the n the user passed and its floor, as estimate's
+    # does, not the u = n + 1 that the estimate is evaluated at
+    for n in ("1", "0"):
+        assert run(["binary-cross-check", "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"spartitions: error: n must be an int >= 2, got {n}\n"
 
 
 # valid calls in both formats, a usage error, a DomainError, a valid call

@@ -16,9 +16,7 @@ from spartitions import (
     brute_force_count,
     count_binary_partitions_table,
     count_s_partitions_table,
-    cumulative_P,
     ln_count,
-    mersenne_parts_upto,
 )
 from spartitions import counting
 from spartitions.counting import BRUTE_FORCE_LIMIT, MAX_EXACT_N
@@ -76,10 +74,10 @@ def _digest(counts):
 
 
 def test_mersenne_parts_examples():
-    assert mersenne_parts_upto(0) == []
-    assert mersenne_parts_upto(7) == [1, 3, 7]
-    assert mersenne_parts_upto(100) == [1, 3, 7, 15, 31, 63]
-    assert mersenne_parts_upto(6) == [1, 3]
+    assert _family_parts(0, 1) == []
+    assert _family_parts(7, 1) == [1, 3, 7]
+    assert _family_parts(100, 1) == [1, 3, 7, 15, 31, 63]
+    assert _family_parts(6, 1) == [1, 3]
 
 
 def test_powers_of_two():
@@ -132,7 +130,7 @@ def test_table_matches_loop_oracle_at_limb_edges(n_max, limbs):
     # more, ends.  p_s(29780) is the last table all of whose counts fit
     # one 64-bit word
     width = 63 - (n_max + 1).bit_length()
-    parts = mersenne_parts_upto(n_max)
+    parts = _family_parts(n_max, 1)
     expected = _loop_dp(n_max, parts)
     counts = count_s_partitions_table(n_max).counts
     assert -(-counts[-1].bit_length() // width) == limbs
@@ -249,14 +247,14 @@ def test_table_matches_object_oracle_at_record_lengths(n_max, bits):
     # first of 8j
     counts = count_s_partitions_table(n_max).counts
     assert counts[-1].bit_length() == bits
-    assert counts == _object_dp(n_max, mersenne_parts_upto(n_max))
+    assert counts == _object_dp(n_max, _family_parts(n_max, 1))
 
 
 def test_table_matches_object_oracle_at_the_limit():
     # three digits of 43 bits from n = 121030; p_s(10^6) has 127 bits
     counts = count_s_partitions_table(MAX_EXACT_N).counts
     assert counts[121029].bit_length() == 86 and counts[121030].bit_length() == 87
-    assert counts == _object_dp(MAX_EXACT_N, mersenne_parts_upto(MAX_EXACT_N))
+    assert counts == _object_dp(MAX_EXACT_N, _family_parts(MAX_EXACT_N, 1))
 
 
 @pytest.mark.parametrize("build, offset", FAMILIES)
@@ -285,10 +283,10 @@ def test_brute_force_examples():
 
 
 def test_brute_force_shares_no_code_with_the_builder(table500, monkeypatch):
-    def unavailable(n):
-        raise AssertionError("the oracle called mersenne_parts_upto")
+    def unavailable(*args):
+        raise AssertionError("the oracle called the builder's DP")
 
-    monkeypatch.setattr(counting, "mersenne_parts_upto", unavailable)
+    monkeypatch.setattr(counting, "_unbounded_dp", unavailable)
     assert [brute_force_count(n) for n in range(121)] == table500.counts[:121]
 
 
@@ -318,40 +316,6 @@ def test_counts_nondecreasing(table500):
         assert table500[n] >= table500[n - 1]
 
 
-def test_cumulative_examples(table500):
-    assert cumulative_P(1, table500) == 1
-    assert cumulative_P(4, table500) == 5     # 1+1+1+2
-    # 1+1+1+2+2+2+3+4: all counts below 8
-    assert cumulative_P(8, table500) == 16
-    assert cumulative_P(8, table500) == sum(table500.counts[:8])
-    # a table that ends at u - 2 is too short and is rebuilt, not summed
-    assert cumulative_P(8, count_s_partitions_table(6)) == 16
-
-
-def test_cumulative_difference_identity(table500):
-    for u in range(1, 500):
-        assert (cumulative_P(u + 1, table500) - cumulative_P(u, table500)
-                == table500[u])
-
-
-def test_cumulative_builds_own_table():
-    assert cumulative_P(4) == 5
-
-
-def test_cumulative_domain(table500, binary500):
-    with pytest.raises(DomainError):
-        cumulative_P(0)
-    for u in (0, -1, 3.0, True):
-        with pytest.raises(DomainError):
-            cumulative_P(u, table500)
-    # the table must be a Mersenne one: the binary table would give
-    # P(4) = 1 + 1 + 2 + 2 = 6, not 5, and a plain list has no n_max
-    assert (table500.parts, binary500.parts) == ("mersenne", "binary")
-    for table in (binary500, count_binary_partitions_table(10), [1, 1]):
-        with pytest.raises(DomainError):
-            cumulative_P(4, table)
-
-
 def test_table_bounds():
     table = count_s_partitions_table(10)
     assert table[0] == 1 and table[10] == 6
@@ -367,7 +331,7 @@ def test_table_bounds():
 
 def test_table_shape_is_checked():
     # a table whose counts miss entries below n_max would raise IndexError
-    # at t[3] and t.ln(3), and cumulative_P(6, t) would silently sum [1]
+    # at t[3] and t.ln(3)
     for n_max, counts, parts in (
         (5, [1], "mersenne"), (1, [1, 1, 2], "binary"), (2, (1, 1, 2), "mersenne"),
         (-1, [], "mersenne"), (True, [1, 1], "mersenne"), (1.0, [1, 1], "binary"),
@@ -482,18 +446,15 @@ def test_ln_count_domain():
 
 def test_negative_inputs_rejected():
     # and non-int sizes, which would otherwise fail inside bit_length or
-    # np.zeros, or (7.5) pass the range test and give an answer
+    # np.zeros, or pass the range test and give an answer
     for call, arg in [
-        (mersenne_parts_upto, -1),
         (count_s_partitions_table, -1),
         (count_binary_partitions_table, -2),
         (count_binary_partitions_table, -1),
         (count_s_partitions_table, 10.0),
         (count_binary_partitions_table, 10.0),
-        (mersenne_parts_upto, 7.5),
         (count_binary_partitions_table, 8.0),
         (brute_force_count, 3.0),
-        (cumulative_P, 3.0),
         (ln_count, 2.5),
         (ln_count, 4.0),
     ]:
@@ -505,21 +466,17 @@ def test_tables_stop_at_the_exact_limit():
     # refused before anything is allocated: at 2^40 numpy would raise
     # MemoryError and the binary list would grow until memory ran out
     for n_max in (MAX_EXACT_N + 1, 2 ** 40):
-        # cumulative_P(u) builds the table to u - 1
-        for call, arg in ((count_s_partitions_table, n_max),
-                          (count_binary_partitions_table, n_max),
-                          (cumulative_P, n_max + 1)):
+        for build in (count_s_partitions_table, count_binary_partitions_table):
             start = time.perf_counter()
             with pytest.raises(DomainError):
-                call(arg)
+                build(n_max)
             assert time.perf_counter() - start < 0.1
 
 
 def test_bool_table_size_rejected():
     # bool is an int subclass; True would otherwise build a table with n_max True
     for build in (count_s_partitions_table, count_binary_partitions_table,
-                  mersenne_parts_upto, brute_force_count,
-                  cumulative_P, ln_count):
+                  brute_force_count, ln_count):
         for flag in (True, False):
             with pytest.raises(DomainError):
                 build(flag)

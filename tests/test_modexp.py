@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from spartitions import (
     DomainError,
     OpCount,
+    SPartition,
     greedy_decompose,
     modexp_reference,
     modexp_spartition,
@@ -21,6 +22,9 @@ def test_greedy_examples():
     assert greedy_decompose(7).exponents == (3,)
     assert greedy_decompose(10).exponents == (3, 2)
     assert greedy_decompose(10).parts() == [7, 3]
+    # valid takes both: every k >= 1 and parts that sum to n
+    assert not SPartition(5, (2,)).is_valid()
+    assert not SPartition(3, (0, 2)).is_valid()
 
 
 def test_greedy_terminal_repeat():
@@ -52,6 +56,7 @@ def test_pow_mersenne_examples():
     assert pow_mersenne_part(2, 1, 1000) == 2
     assert pow_mersenne_part(2, 3, 1000) == 128
     assert pow_mersenne_part(3, 4, 100) == pow(3, 15, 100) == 7
+    assert pow_mersenne_part(7, 5, 1) == 0  # the smallest modulus
 
 
 def test_pow_mersenne_operation_count():
@@ -114,6 +119,7 @@ def test_modexp_reference_examples():
     assert modexp_reference(5, 1, 3) == 2
     assert modexp_reference(2, 10, 1000) == 24
     assert modexp_reference(7, 0, 13) == 1
+    assert modexp_reference(7, 5, 1) == 0  # the smallest modulus
 
 
 def test_modexp_matches_reference_random():
@@ -134,7 +140,8 @@ def test_modexp_huge_exponent():
 def test_modexp_domain():
     with pytest.raises(DomainError):
         modexp_spartition(2, 3, 0)
-    with pytest.raises(DomainError):
+    # the message names modexp's own argument, not greedy_decompose's n
+    with pytest.raises(DomainError, match="^exponent must be an int >= 0, got -1$"):
         modexp_spartition(2, -1, 5)
     with pytest.raises(DomainError):
         modexp_reference(2, 3, 0)

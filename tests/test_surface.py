@@ -29,7 +29,7 @@ from spartitions import (
 PUBLIC = {
     # counting
     "CountTable", "brute_force_count", "count_binary_partitions_table",
-    "count_s_partitions_table", "cumulative_P", "ln_count", "mersenne_parts_upto",
+    "count_s_partitions_table", "ln_count",
     # asymptotics
     "AsymptoticBreakdown", "AsymptoticParams", "H_constant", "alpha_constant",
     "binary_partition_params", "c_constant", "ln_Ph_estimate", "ln_ps_estimate",
@@ -50,7 +50,7 @@ PUBLIC = {
 def test_public_surface_is_pinned():
     exported = {name for name, value in vars(spartitions).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 36
     assert exported == PUBLIC
 
 
@@ -126,9 +126,7 @@ SWEEP = {
     "count_binary_partitions_table": ([st.integers(0, 1000)],
                                       lambda v: isinstance(v, CountTable)),
     "count_s_partitions_table": ([st.integers(0, 1000)], lambda v: isinstance(v, CountTable)),
-    "cumulative_P": ([st.integers(1, 1000), TABLE], is_int),
     "ln_count": ([st.integers(1, 10 ** 400)], finite),
-    "mersenne_parts_upto": ([st.integers(0, 10 ** 400)], lambda v: all(map(is_int, v))),
     "AsymptoticBreakdown": record(AsymptoticBreakdown, 7),
     "AsymptoticParams": record(AsymptoticParams, 2),
     "H_constant": ([TOL], finite),

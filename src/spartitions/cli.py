@@ -45,6 +45,7 @@ def _writer(fmt: str, stream):
 
 
 def _cmd_count(args, emit):
+    counting._check_n_max(args.n, "n")  # so that a message names --n
     table = counting.count_s_partitions_table(args.n)
     emit({"n": args.n, "count": str(table[args.n])})
 

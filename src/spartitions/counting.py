@@ -74,11 +74,12 @@ def _check_s_table(table) -> None:
         raise DomainError(f"needs a CountTable of Mersenne parts, got {kind}")
 
 
-def _check_n_max(n_max) -> None:
-    # before any allocation: a table's memory grows with n_max
-    _check_int("n_max", n_max, 0)
+def _check_n_max(n_max, name: str = "n_max") -> None:
+    # before any allocation: a table's memory grows with n_max.  A caller
+    # that takes the size under another name passes that name
+    _check_int(name, n_max, 0)
     if n_max > MAX_EXACT_N:
-        raise DomainError(f"exact tables stop at n_max = {MAX_EXACT_N}, got {n_max}")
+        raise DomainError(f"exact tables stop at {name} = {MAX_EXACT_N}, got {n_max}")
 
 
 def _running_sum(counts: np.ndarray, p: int) -> None:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,54 @@ def test_bound_beyond_64_bits():
             m = floor_log2(n - 3 * i)
             direct += m ** (m - 1)
         assert bhatt_bound(n) == direct, n
+
+
+# SUMMAND[b] = m^(m-1) with m = b - 1, the summand of an x of bit length
+# b >= 2; an x < 2 adds nothing.  Up to 1401 bits
+SUMMAND = [0, 0] + [(b - 1) ** (b - 2) for b in range(2, 1402)]
+
+
+def direct_bound(n):
+    # the formula summand by summand, as it is written: x = n - 3i for
+    # i = 0 .. floor(log2 n), stopping before x < 2
+    xs = range(n, max(n - 3 * n.bit_length(), 1), -3)
+    return 2 + n // 3 + sum(map(SUMMAND.__getitem__, map(int.bit_length, xs)))
+
+
+def test_bound_matches_the_summand_loop():
+    ns = set(range(1, 2 ** 14 + 1))
+    # every n within 3 bit_length(n) of a power of two 2^k, where a summand
+    # appears (n = 2^k) or one of the x = n - 3i crosses 2^k
+    for k in range(1, 131):
+        ns.update(range(max(1, 2 ** k - 3 * k), 2 ** k + 3 * (k + 1) + 1))
+    rng = random.Random(29)
+    ns.update(rng.getrandbits(rng.randrange(64, 1401)) for _ in range(40))
+    for n in sorted(ns):
+        assert bhatt_bound(n) == direct_bound(n), n
+
+
+def test_bound_takes_one_term_per_octave(monkeypatch):
+    class Terms(dict):  # the _POW memo, noting each m the bound reads
+        def get(self, m, default=None):
+            seen.append(m)
+            return super().get(m, default)
+
+    monkeypatch.setattr(bhatt, "_POW", Terms())
+    rng = random.Random(32)
+    ns = [*range(1, 2 ** 12),
+          *(2 ** k + d for k in range(12, 80) for d in range(-3 * k, 3 * k + 4)),
+          *(rng.getrandbits(1400) | 1 << 1399 for _ in range(5))]
+    for n in ns:
+        seen = []
+        bhatt_bound(n)
+        top = n.bit_length() - 1
+        # m = top, top - 1, ..., one step per octave
+        assert seen == list(range(top, top - len(seen), -1)), n
+        if n >= 32:
+            # every x = n - 3i lies in [2^(top-1), 2^(top+1)): one term for
+            # each distinct m, and so at most two, whatever the size of n
+            octaves = {x.bit_length() - 1 for x in range(n, n - 3 * (top + 1), -3)}
+            assert len(seen) == len(octaves) <= 2, n
 
 
 def test_bound_domain():

@@ -324,8 +324,12 @@ def test_accuracy_error_exit_2(capsys, monkeypatch):
 
 
 def test_domain_error_exit_1(capsys):
+    # count checks --n itself, so the message names n, not the table
+    # builder's n_max (test_exact_tables_stop_at_the_limit has its ceiling)
     assert run(["count", "--n", "-3"]) == 1
-    assert "error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "spartitions: error: n must be an int >= 0, got -3\n"
     # the message names the n the user passed and its floor, as estimate's
     # does, not the u = n + 1 that the estimate is evaluated at
     for n in ("1", "0"):
@@ -366,14 +370,16 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [["count", "--n"], ["table", "--max-n"],
                                   ["binary-cross-check", "--n"]])
 def test_exact_tables_stop_at_the_limit(capsys, argv):
-    # the table builder's own limit check; that it runs before any
-    # allocation is test_tables_stop_at_the_exact_limit's concern
+    # the table builder's own limit check, which count makes itself to
+    # name its --n; that it runs before any allocation is
+    # test_tables_stop_at_the_exact_limit's concern
     assert counting.MAX_EXACT_N == 10 ** 6
+    name = "n" if argv[0] == "count" else "n_max"
     for n in (10 ** 6 + 1, 10 ** 9):
         assert run(argv + [str(n)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"exact tables stop at n_max = {10 ** 6}" in captured.err
+        assert f"exact tables stop at {name} = {10 ** 6}, got {n}\n" in captured.err
 
 
 def test_unknown_command_exit_1(capsys):

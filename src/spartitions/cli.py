@@ -44,10 +44,15 @@ def _writer(fmt: str, stream):
     return emit
 
 
+def _exact_count(n: int) -> int:
+    """p_s(n) from the DP to n, decoding only the last block, whose last
+    entry is n's."""
+    counting._check_n_max(n, "n")  # so that a message names --n
+    return next(counting._s_blocks(n, n))[-1]
+
+
 def _cmd_count(args, emit):
-    counting._check_n_max(args.n, "n")  # so that a message names --n
-    table = counting.count_s_partitions_table(args.n)
-    emit({"n": args.n, "count": str(table[args.n])})
+    emit({"n": args.n, "count": str(_exact_count(args.n))})
 
 
 # (header, row) per format: the lines _writer's emit would write for
@@ -59,11 +64,19 @@ _TABLE_LINES = {
 
 
 def _cmd_table(args, emit):
-    table = counting.count_s_partitions_table(args.max_n)
+    blocks = counting._s_blocks(args.max_n)
     header, row = _TABLE_LINES[args.format]
     sys.stdout.write(header)
-    # a line at a time: a joined string or a list of lines doubles peak RSS
-    sys.stdout.writelines(map(row.__mod__, enumerate(table.counts)))
+    # one string per decoded block, from one % of the row repeated over
+    # its (n, count) pairs: no list of every count or every line is built
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        pairs = [0] * (2 * len(block))
+        pairs[::2] = range(start, stop)
+        pairs[1::2] = block
+        sys.stdout.write(row * len(block) % tuple(pairs))
+        start = stop
 
 
 def _estimate_record(n: int, bd, exact_ln: float | None) -> dict:
@@ -78,7 +91,7 @@ def _estimate_record(n: int, bd, exact_ln: float | None) -> dict:
 
 def _cmd_estimate(args, emit):
     bd = asymptotics.ln_ps_estimate(args.n, tol=args.tol, nu_max=args.nu_max)
-    exact_ln = (counting.count_s_partitions_table(args.n).ln(args.n)
+    exact_ln = (counting.ln_count(_exact_count(args.n))
                 if args.n <= counting.MAX_EXACT_N else None)
     emit(_estimate_record(args.n, bd, exact_ln))
 
@@ -150,6 +163,7 @@ def _cmd_modexp(args, emit):
 
 def _cmd_binary_cross_check(args, emit):
     _check_int("n", args.n, 2)
+    counting._check_n_max(args.n, "n")  # so that a message names --n
     exact_ln = counting.count_binary_partitions_table(args.n).ln(args.n)
     bd = asymptotics.ln_Ph_estimate(args.n + 1, asymptotics.binary_partition_params(),
                                     nu_max=args.nu_max)

@@ -24,8 +24,8 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 300
 # the largest n_max of an exact table: a 10^6 p_s table takes about
-# 0.24-0.28 s and 105 MB peak RSS, and the cost grows faster than n.  It
-# also keeps n_max + 1 below 2^31, which the limb width of _unbounded_dp
+# 0.24-0.28 s and 107-118 MB peak RSS, and the cost grows faster than n.  It
+# also keeps n_max + 1 below 2^31, which the limb width of _dp_blocks
 # needs
 MAX_EXACT_N = 10 ** 6
 
@@ -102,18 +102,30 @@ def _running_sum(counts: np.ndarray, p: int) -> None:
 
 
 def _unbounded_dp(n_max: int, parts: list) -> list:
-    # Each count is held as base-2^width digits, one uint64 array (limb) per
-    # digit, lowest first, with the parts run in the order given.  bound is
-    # a Python int above every digit.  A pass with part p sums at most
-    # n_max // p + 1 digits, so it multiplies bound by that many; a pass
-    # that would take bound to 2^63 first carries every digit below 2^width
-    # (_carry opens a limb when the top one carries out), so a digit never
-    # exceeds 2^63 - 1 and the carry adds less than 2^(63 - width) into the
-    # next one without wrapping.  After a carry, one pass sums at most
-    # n_max + 1 < 2^(63 - width) digits below 2^width, so it always fits.
-    # Large parts first leave the digits small, so most passes need no
-    # carry.  The uint64 scalars keep numpy's type promotion from turning a
-    # shift or mask into float64.
+    # the counts as one list, extended a block at a time: a [0] * (n_max + 1)
+    # list filled by slice assignment faulted fresh pages on each build of a
+    # loop, about 8.0 against 6.75 ms at 10^5, though it peaks lower at 10^6
+    counts = []
+    for block in _dp_blocks(n_max, parts):
+        counts += block
+    return counts
+
+
+def _dp_blocks(n_max: int, parts: list, first: int = 0):
+    # The DP runs when this is called; the blocks of counts come from the
+    # generator it returns, each decoded when it is read, from the block
+    # that holds entry first.  Each count is held as base-2^width digits,
+    # one uint64 array (limb) per digit, lowest first, with the parts run in
+    # the order given.  bound is a Python int above every digit.  A pass
+    # with part p sums at most n_max // p + 1 digits, so it multiplies bound
+    # by that many; a pass that would take bound to 2^63 first carries every
+    # digit below 2^width (_carry opens a limb when the top one carries
+    # out), so a digit never exceeds 2^63 - 1 and the carry adds less than
+    # 2^(63 - width) into the next one without wrapping.  After a carry, one
+    # pass sums at most n_max + 1 < 2^(63 - width) digits below 2^width, so
+    # it always fits.  Large parts first leave the digits small, so most
+    # passes need no carry.  The uint64 scalars keep numpy's type promotion
+    # from turning a shift or mask into float64.
     width = 63 - (n_max + 1).bit_length()
     shift = np.uint64(width)
     mask = np.uint64((1 << width) - 1)
@@ -129,11 +141,8 @@ def _unbounded_dp(n_max: int, parts: list) -> list:
             _running_sum(limb, p)
         bound *= terms
     _carry(limbs, shift, mask)
-    counts = [0] * (n_max + 1)
-    for start in range(0, n_max + 1, _BLOCK):
-        stop = start + _BLOCK
-        counts[start:stop] = _block_ints([limb[start:stop] for limb in limbs], width)
-    return counts
+    return (_block_ints([limb[start:start + _BLOCK] for limb in limbs], width)
+            for start in range(first - first % _BLOCK, n_max + 1, _BLOCK))
 
 
 # entries decoded together: a block's word and record buffers stay small
@@ -204,14 +213,29 @@ def count_s_partitions_table(n_max: int) -> CountTable:
     overflow.  At the end each count is built once, in C, in blocks of
     2^14, each packed once into the table's width of 64-bit words and
     sized from its highest nonzero word: one tolist() where that is word
-    0, else one pickle.loads of the block's LONG1 records.  On a 2-vCPU Xeon
+    0, else one pickle.loads of the block's LONG1 records.  The blocks come
+    from a generator, each decoded when it is read; this table extends one
+    list by each in turn, and the CLI's table and count read them without
+    it, a block at a time or the one block that holds n.  On a 2-vCPU Xeon
     with CPython 3.11 and numpy 2.4, n_max = 10^5 takes about 13-19 ms and
     n_max = 10^6 about 0.24-0.28 s.  Raises DomainError past MAX_EXACT_N.
     """
     _check_n_max(n_max)
+    return CountTable(n_max, _unbounded_dp(n_max, _s_parts(n_max)), "mersenne")
+
+
+def _s_parts(n_max: int) -> list:
     # the parts 2^k - 1 <= n_max, k >= 1, largest first
-    parts = [(1 << k) - 1 for k in range((n_max + 1).bit_length() - 1, 0, -1)]
-    return CountTable(n_max, _unbounded_dp(n_max, parts), "mersenne")
+    return [(1 << k) - 1 for k in range((n_max + 1).bit_length() - 1, 0, -1)]
+
+
+def _s_blocks(n_max: int, first: int = 0):
+    """The counts of count_s_partitions_table(n_max) in blocks of 2^14 (the
+    last may be shorter), from the block that holds entry first.  The
+    checks and the DP run when this is called; a block is decoded only
+    when it is read, so no list of every count is built."""
+    _check_n_max(n_max)
+    return _dp_blocks(n_max, _s_parts(n_max), first)
 
 
 def count_binary_partitions_table(n_max: int) -> CountTable:

@@ -91,6 +91,33 @@ def test_w_eval(capsys):
     assert all(abs(r["w"]) < 1e-4 for r in recs)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("flags, nu_max", [([], 16), (["--nu-max", "3"], 3)])
+def test_w_eval_matches_per_record_oracle(capsys, fmt, flags, nu_max):
+    # the grid z = j ln2 / points, each W at the nu_max given, 16 by default
+    points = 5
+    records = [{"z": j * math.log(2) / points,
+                "w": asymptotics.w_oscillation(j * math.log(2) / points, nu_max)}
+               for j in range(points)]
+    assert run(["--format", fmt, "w-eval", "--points", str(points), *flags]) == 0
+    assert capsys.readouterr().out == stream_oracle(fmt, records)
+
+
+@pytest.mark.parametrize("points", [1, 2 ** 53])
+def test_w_eval_takes_points_up_to_2_53(capsys, monkeypatch, points):
+    # 2^53 points pass the check: the first W evaluation stops the run
+    class FirstPoint(Exception):
+        pass
+
+    def first_point(z, nu_max):
+        raise FirstPoint(z)
+
+    monkeypatch.setattr(asymptotics, "w_oscillation", first_point)
+    with pytest.raises(FirstPoint):
+        run(["w-eval", "--points", str(points)])
+    assert capsys.readouterr() == ("", "")
+
+
 # 10^400 points would overflow the grid's float division, and past 2^53
 # points the grid has no distinct float points
 @pytest.mark.parametrize("points", ["0", "-3", pytest.param(str(10 ** 400), id="10**400"),
@@ -134,6 +161,14 @@ def test_hostile_argv_meets_the_contract(capsys, command):
             except SystemExit as exc:
                 assert exc.code == 1, (flag, bad[:20])
             capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["estimate", "w-eval", "binary-cross-check"])
+def test_nu_max_defaults_to_16(command):
+    # W's terms past nu = 5 no longer move a double, so no output shows it
+    flags = chain.from_iterable((flag, value) for flag, value in CHEAP_CALLS[command].items()
+                                if flag != "--nu-max")
+    assert cli._build_parser().parse_args([command, *flags]).nu_max == 16
 
 
 def test_bhatt_audit_stream_and_summary(capsys):
@@ -212,8 +247,10 @@ def table_oracle(fmt, counts):
     return stream_oracle(fmt, [{"n": n, "count": str(c)} for n, c in enumerate(counts)])
 
 
+# the decode's blocks hold 2^14 entries: 16383 ends the first block, 16384
+# opens the second and 32768 the third
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("max_n", [0, 1, 30000])
+@pytest.mark.parametrize("max_n", [0, 1, 16383, 16384, 16385, 30000, 32768])
 def test_table_matches_per_record_oracle(capsys, fmt, max_n):
     counts = counting.count_s_partitions_table(max_n).counts
     assert max_n < 30000 or counts[-1] > 2 ** 64  # first above 2^64 at n = 29781
@@ -222,6 +259,38 @@ def test_table_matches_per_record_oracle(capsys, fmt, max_n):
     assert out == table_oracle(fmt, counts)
     if fmt == "csv":  # every line ends in \r\n, which splitlines() hides
         assert out.count("\r\n") == out.count("\n") == max_n + 2
+
+
+# the first and last entries of the decode's first blocks, and the limit
+POINTS = [16383, 16384, 16385, 32768, 10 ** 6]
+
+
+@pytest.mark.parametrize("n", [0, 1] + POINTS)
+def test_count_reads_the_table_entry(capsys, n):
+    expected = counting.count_s_partitions_table(n)[n]
+    assert run_json(capsys, ["count", "--n", str(n)]) == (0, [{"n": n, "count": str(expected)}])
+
+
+@pytest.mark.parametrize("n", POINTS)
+def test_estimate_reads_the_table_entry(capsys, n):
+    code, recs = run_json(capsys, ["estimate", "--n", str(n)])
+    assert code == 0
+    assert recs[0]["exact_ln"] == counting.count_s_partitions_table(n).ln(n)
+
+
+@pytest.mark.parametrize("argv, blocks", [(["count", "--n", "40000"], 1),
+                                          (["estimate", "--n", "40000"], 1),
+                                          (["table", "--max-n", "40000"], 3)])
+def test_cli_decodes_only_the_blocks_it_writes(capsys, monkeypatch, argv, blocks):
+    # a point reads the one block that holds n; a table decodes each of its
+    # blocks once
+    calls = []
+    block_ints = counting._block_ints
+    monkeypatch.setattr(counting, "_block_ints",
+                        lambda *args: calls.append(1) or block_ints(*args))
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == blocks
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -370,16 +439,17 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [["count", "--n"], ["table", "--max-n"],
                                   ["binary-cross-check", "--n"]])
 def test_exact_tables_stop_at_the_limit(capsys, argv):
-    # the table builder's own limit check, which count makes itself to
-    # name its --n; that it runs before any allocation is
-    # test_tables_stop_at_the_exact_limit's concern
+    # the table builder's own limit check, which count and
+    # binary-cross-check make themselves to name their --n; that it runs
+    # before any allocation is test_tables_stop_at_the_exact_limit's concern
     assert counting.MAX_EXACT_N == 10 ** 6
-    name = "n" if argv[0] == "count" else "n_max"
-    for n in (10 ** 6 + 1, 10 ** 9):
-        assert run(argv + [str(n)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"exact tables stop at {name} = {10 ** 6}, got {n}\n" in captured.err
+    name = "n_max" if argv[0] == "table" else "n"
+    for fmt in ([], ["--format", "csv"]):  # and CSV's table header stays out
+        for n in (10 ** 6 + 1, 10 ** 9):
+            assert run(fmt + argv + [str(n)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"exact tables stop at {name} = {10 ** 6}, got {n}\n" in captured.err
 
 
 def test_unknown_command_exit_1(capsys):

@@ -257,6 +257,16 @@ def test_table_matches_object_oracle_at_the_limit():
     assert counts == _object_dp(MAX_EXACT_N, _family_parts(MAX_EXACT_N, 1))
 
 
+@pytest.mark.parametrize("first", [0, 1, 16383, 16384, 32767, 32768, 40000])
+def test_blocks_read_from_the_one_that_holds_first(first):
+    # blocks of 2^14 entries, the last one short, from the block that holds
+    # entry first: together the table's counts from that block on
+    counts = count_s_partitions_table(40000).counts
+    blocks = list(counting._s_blocks(40000, first))
+    assert [len(block) for block in blocks[:-1]] == [1 << 14] * (len(blocks) - 1)
+    assert sum(blocks, []) == counts[first - first % (1 << 14):]
+
+
 @pytest.mark.parametrize("build, offset", FAMILIES)
 def test_table_entries_are_python_ints(build, offset):
     # the p_s digits: 5000 fits one, 2*10^4 needs two; past 29780 the

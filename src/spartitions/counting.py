@@ -101,16 +101,6 @@ def _running_sum(counts: np.ndarray, p: int) -> None:
     counts[full:] += counts[full - p : n - p]
 
 
-def _unbounded_dp(n_max: int, parts: list) -> list:
-    # the counts as one list, extended a block at a time: a [0] * (n_max + 1)
-    # list filled by slice assignment faulted fresh pages on each build of a
-    # loop, about 8.0 against 6.75 ms at 10^5, though it peaks lower at 10^6
-    counts = []
-    for block in _dp_blocks(n_max, parts):
-        counts += block
-    return counts
-
-
 def _dp_blocks(n_max: int, parts: list, first: int = 0):
     # The DP runs when this is called; the blocks of counts come from the
     # generator it returns, each decoded when it is read, from the block
@@ -214,28 +204,31 @@ def count_s_partitions_table(n_max: int) -> CountTable:
     2^14, each packed once into the table's width of 64-bit words and
     sized from its highest nonzero word: one tolist() where that is word
     0, else one pickle.loads of the block's LONG1 records.  The blocks come
-    from a generator, each decoded when it is read; this table extends one
-    list by each in turn, and the CLI's table and count read them without
-    it, a block at a time or the one block that holds n.  On a 2-vCPU Xeon
-    with CPython 3.11 and numpy 2.4, n_max = 10^5 takes about 13-19 ms and
-    n_max = 10^6 about 0.24-0.28 s.  Raises DomainError past MAX_EXACT_N.
+    from _s_blocks, the one checked stream of this DP, each decoded when it
+    is read: this table collects them into one list, and the CLI's table
+    and count read the same stream without it, a block at a time or the
+    one block that holds n.  On a 2-vCPU Xeon with CPython 3.11 and numpy
+    2.4, n_max = 10^5 takes about 13-19 ms and n_max = 10^6 about
+    0.24-0.28 s.  Raises DomainError past MAX_EXACT_N.
     """
-    _check_n_max(n_max)
-    return CountTable(n_max, _unbounded_dp(n_max, _s_parts(n_max)), "mersenne")
-
-
-def _s_parts(n_max: int) -> list:
-    # the parts 2^k - 1 <= n_max, k >= 1, largest first
-    return [(1 << k) - 1 for k in range((n_max + 1).bit_length() - 1, 0, -1)]
+    # extended a block at a time: a [0] * (n_max + 1) list filled by slice
+    # assignment faulted fresh pages on each build of a loop, about 8.0
+    # against 6.75 ms at 10^5, though it peaks lower at 10^6
+    counts = []
+    for block in _s_blocks(n_max):
+        counts += block
+    return CountTable(n_max, counts, "mersenne")
 
 
 def _s_blocks(n_max: int, first: int = 0):
     """The counts of count_s_partitions_table(n_max) in blocks of 2^14 (the
-    last may be shorter), from the block that holds entry first.  The
-    checks and the DP run when this is called; a block is decoded only
-    when it is read, so no list of every count is built."""
+    last may be shorter), from the block that holds entry first, with the
+    parts 2^k - 1 <= n_max largest first.  The checks and the DP run when
+    this is called; a block is decoded only when it is read, so no list of
+    every count is built."""
     _check_n_max(n_max)
-    return _dp_blocks(n_max, _s_parts(n_max), first)
+    parts = [(1 << k) - 1 for k in range((n_max + 1).bit_length() - 1, 0, -1)]
+    return _dp_blocks(n_max, parts, first)
 
 
 def count_binary_partitions_table(n_max: int) -> CountTable:

@@ -13,6 +13,7 @@ zeta_complex uses Euler-Maclaurin summation with a fixed Bernoulli tail.
 import cmath
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -65,10 +66,14 @@ def gamma_complex(z) -> complex:
     """Gamma(z) for complex z with |Im z| <= 200.
 
     Poles (z a nonpositive real integer), non-finite and out-of-band
-    arguments raise DomainError, and so does z where Gamma(z), or an
-    intermediate of the Lanczos or reflection formula, leaves the float
-    range: on the real axis z > 171.62 or z < -170.62, and at Im z = 200
-    Re z > 189 or Re z < -74.
+    arguments raise DomainError.  Off the real axis so does z where
+    Gamma(z), or an intermediate of the Lanczos or reflection formula,
+    leaves the float range: at Im z = 200 Re z > 189 or Re z < -74.  On the
+    real axis it raises DomainError for z > 171.62.  Below z = -170.62,
+    where the reflection's Gamma(1 - z) overflows, the value is
+    math.gamma's (within 6e-16 relative of mpmath in a seeded sweep to
+    -185), and DomainError is raised where |Gamma(z)| is below the normal
+    float range.
     """
     z = _finite_complex(z, "gamma_complex")
     if abs(z.imag) > IM_BAND:
@@ -81,6 +86,13 @@ def gamma_complex(z) -> complex:
             return value
     except OverflowError:
         pass
+    if z.imag == 0.0:
+        try:
+            value = math.gamma(z.real)
+        except OverflowError:
+            value = 0.0
+        if abs(value) >= sys.float_info.min:
+            return complex(value)
     raise DomainError(f"Gamma(z) or an intermediate of it leaves the float range "
                       f"at z = {z}")
 
@@ -119,7 +131,7 @@ def zeta_complex(s) -> complex:
     """zeta(s) for Re s >= 0.6, |Im s| <= 200, s != 1.
 
     Euler-Maclaurin: sum_{n<N} n^-s + N^{1-s}/(s-1) + N^-s/2 + 12
-    Bernoulli corrections, N = max(24, |Im s| + 24); the absolute error
+    Bernoulli corrections, N = int(|Im s|) + 24; the absolute error
     measured against mpmath stays below 2e-13 across the band.  Past
     Re s = 1076, where every n^-s with n >= 2 underflows, it is exactly 1.
     """
@@ -133,7 +145,7 @@ def zeta_complex(s) -> complex:
         )
     if s.real > _ZETA_RE_ONE:
         return 1.0 + 0.0j
-    N = max(24, int(abs(s.imag)) + 24)
+    N = int(abs(s.imag)) + 24
 
     n = np.arange(1, N, dtype=float)
     main = np.exp(-s * np.log(n))

@@ -46,6 +46,12 @@ def _loop_dp(n_max, parts):
     return counts
 
 
+def _dp(n_max, parts):
+    # the engine's counts for any parts, in the order given, as one list:
+    # stress inputs such as [1] * 40 reach the DP only through this
+    return sum(counting._dp_blocks(n_max, parts), [])
+
+
 def _object_dp(n_max, parts):
     # the object-dtype running sum the uint64 limbs replaced, kept as their
     # oracle: the same rows-of-length-p layout, with numpy applying Python's
@@ -114,7 +120,7 @@ def test_table_matches_loop_oracle_at_row_edges(build, offset):
         expected = _loop_dp(n_max, parts)
         assert build(n_max).counts == expected, n_max
         for order in (parts, parts[::-1]):
-            assert counting._unbounded_dp(n_max, order) == expected, (n_max, order)
+            assert _dp(n_max, order) == expected, (n_max, order)
 
 
 @pytest.mark.parametrize("n_max, limbs", [(9710, 1), (9711, 2), (9712, 2),
@@ -136,12 +142,12 @@ def test_table_matches_loop_oracle_at_limb_edges(n_max, limbs):
     assert -(-counts[-1].bit_length() // width) == limbs
     assert counts == expected
     # smallest part first, the DP carries before most passes
-    assert counting._unbounded_dp(n_max, parts) == expected
+    assert _dp(n_max, parts) == expected
     # twenty passes of the part 1 ahead of the parts leave every digit
     # large before the first carry; each of them is one more prefix sum
     for _ in range(20):
         expected = list(accumulate(expected))
-    assert counting._unbounded_dp(n_max, [1] * 20 + parts) == expected
+    assert _dp(n_max, [1] * 20 + parts) == expected
 
 
 def test_limb_digits_never_wrap():
@@ -151,7 +157,7 @@ def test_limb_digits_never_wrap():
     # to 315 bits here
     n_max, k = 4095, 40
     expected = [math.comb(n + k - 1, k - 1) for n in range(n_max + 1)]
-    assert counting._unbounded_dp(n_max, [1] * k) == expected
+    assert _dp(n_max, [1] * k) == expected
 
 
 @pytest.mark.parametrize("n_max, k, bits", [(4095, 40, 254), (4097, 40, 254), (32768, 7, 72)])
@@ -162,7 +168,7 @@ def test_limb_digits_of_falling_counts(n_max, k, bits):
     # at 32767, while counts before them need records of several words
     expected = _loop_dp(n_max, [3] * k)
     assert max(expected).bit_length() == bits
-    assert counting._unbounded_dp(n_max, [3] * k) == expected
+    assert _dp(n_max, [3] * k) == expected
 
 
 @pytest.mark.parametrize("n_max, carries", [(10 ** 5, 5), (MAX_EXACT_N, 9)])
@@ -189,7 +195,7 @@ def test_dp_carries_where_a_doubling_bound_reaches_2_63(n_max, monkeypatch):
     monkeypatch.setattr(counting, "_running_sum",
                         lambda *args: events.append("+") or running_sum(*args))
     monkeypatch.setattr(counting, "_carry", lambda *args: events.append("c") or carry(*args))
-    assert counting._unbounded_dp(n_max, [n_max] * 70) == [1] + [0] * (n_max - 1) + [70]
+    assert _dp(n_max, [n_max] * 70) == [1] + [0] * (n_max - 1) + [70]
     assert "".join(events) == "+" * 62 + "c" + "+" * 4 + "c" + "+" * 4 + "c"
 
 
@@ -267,6 +273,22 @@ def test_blocks_read_from_the_one_that_holds_first(first):
     assert sum(blocks, []) == counts[first - first % (1 << 14):]
 
 
+@pytest.mark.parametrize("n_max", [0, 16383, 16384, 40000])
+def test_table_runs_the_dp_once_and_decodes_each_block_once(n_max, monkeypatch):
+    # the table collects the block stream: one DP, then ceil((n_max + 1) /
+    # 2^14) decodes, whose blocks in the order decoded are the table
+    runs, decoded = [], []
+    dp_blocks, block_ints = counting._dp_blocks, counting._block_ints
+    monkeypatch.setattr(counting, "_dp_blocks",
+                        lambda *args: runs.append(1) or dp_blocks(*args))
+    monkeypatch.setattr(counting, "_block_ints",
+                        lambda *args: decoded.append(block_ints(*args)) or decoded[-1])
+    counts = count_s_partitions_table(n_max).counts
+    assert len(runs) == 1
+    assert len(decoded) == -(-(n_max + 1) // (1 << 14))
+    assert sum(decoded, []) == counts
+
+
 @pytest.mark.parametrize("build, offset", FAMILIES)
 def test_table_entries_are_python_ints(build, offset):
     # the p_s digits: 5000 fits one, 2*10^4 needs two; past 29780 the
@@ -296,7 +318,7 @@ def test_brute_force_shares_no_code_with_the_builder(table500, monkeypatch):
     def unavailable(*args):
         raise AssertionError("the oracle called the builder's DP")
 
-    monkeypatch.setattr(counting, "_unbounded_dp", unavailable)
+    monkeypatch.setattr(counting, "_dp_blocks", unavailable)
     assert [brute_force_count(n) for n in range(121)] == table500.counts[:121]
 
 

@@ -69,11 +69,11 @@ def gamma_complex(z) -> complex:
     arguments raise DomainError.  Off the real axis so does z where
     Gamma(z), or an intermediate of the Lanczos or reflection formula,
     leaves the float range: at Im z = 200 Re z > 189 or Re z < -74.  On the
-    real axis it raises DomainError for z > 171.62.  Below z = -170.62,
-    where the reflection's Gamma(1 - z) overflows, the value is
-    math.gamma's (within 6e-16 relative of mpmath in a seeded sweep to
-    -185), and DomainError is raised where |Gamma(z)| is below the normal
-    float range.
+    real axis it raises DomainError for z > 171.62 and wherever |Gamma(z)|
+    is below the normal float range (from about z = -170.583 down), on the
+    Lanczos path and on math.gamma's alike.  Below z = -170.62, where the
+    reflection's Gamma(1 - z) overflows, the value is math.gamma's (within
+    6e-16 relative of mpmath in a seeded sweep to -185).
     """
     z = _finite_complex(z, "gamma_complex")
     if abs(z.imag) > IM_BAND:
@@ -82,7 +82,7 @@ def gamma_complex(z) -> complex:
         raise DomainError(f"gamma pole at z = {z.real:g}")
     try:  # math/cmath raise OverflowError; a complex product turns inf or NaN
         value = _lanczos(z)
-        if cmath.isfinite(value):
+        if cmath.isfinite(value) and (z.imag != 0.0 or abs(value) >= sys.float_info.min):
             return value
     except OverflowError:
         pass

@@ -76,15 +76,107 @@ def test_pow_mersenne_domain():
 
 
 def test_modexp_operation_count():
-    # one shared chain up to the largest exponent K: K - 1 squarings and
-    # K - 1 multiplies, plus one multiply per part into the result
-    for n, total in ((0, 0), (1, 1), (12345, 31), (2 ** 64 - 1, 127),
-                     (10 ** 18, 144)):
+    # parts in increasing order, the first seeding the result: with D = 1
+    # (below 16 parts) K - 1 squarings and K - 1 + #parts - 1 multiplies;
+    # 10^18 has 28 parts and a table of depth 3
+    for n, total in ((0, 0), (1, 0), (12345, 30), (2 ** 64 - 1, 126),
+                     (10 ** 18, 133)):
         ops = OpCount()
         modexp_spartition(7, n, 2 ** 61 - 1, ops)
-        exponents = greedy_decompose(n).exponents
-        assert ops.total == 2 * (max(exponents, default=1) - 1) + len(exponents)
         assert ops.total == total, n
+    ops = OpCount()
+    modexp_spartition(7, 10 ** 18, 2 ** 61 - 1, ops)
+    assert (ops.squarings, ops.multiplies) == (60, 73)
+    ops = OpCount()
+    modexp_spartition(7, 12345, 2 ** 61 - 1, ops)
+    assert (ops.squarings, ops.multiplies) == (12, 18)
+
+
+def _gaps(n: int) -> list:
+    """The gaps between the parts of n in increasing order, the first from
+    k = 1, where the chain starts at a = a^(2^1 - 1)."""
+    targets = sorted(greedy_decompose(n).exponents)
+    return [t - k for k, t in zip([1] + targets, targets)]
+
+
+def _model_count(gaps: list, depth: int) -> int:
+    """Operations of the chain with a table of depth D: 2 (D - 1) for the
+    table, d + 1 for a jump of d <= D links, 2d for a longer climb and one
+    multiply per part after the first."""
+    return (2 * (depth - 1) + sum(d + 1 if d <= depth else 2 * d for d in gaps if d)
+            + max(len(gaps) - 1, 0))
+
+
+def _old_count(gaps: list) -> int:
+    """The plain chain's count 2 (K - 1) + #parts, every part multiplied
+    into 1 % m; the gaps add up to K - 1."""
+    return 2 * sum(gaps) + len(gaps)
+
+
+def test_modexp_every_small_exponent():
+    # m = 1 maps everything to 0; the 512-bit modulus has full-size residues
+    rng = random.Random(SEED)
+    moduli = (1, 2, 3, 1000, 2 ** 61 - 1, rng.getrandbits(512) | 1 << 511 | 1)
+    bases = (-7, 3, rng.getrandbits(600), 2)
+    for n in range(1 << 14):
+        a = bases[n % 4]
+        for m in moduli:
+            ops = OpCount()
+            assert modexp_spartition(a, n, m, ops) == pow(a, n, m), (a, n, m)
+        assert ops.total == _model_count(_gaps(n), 1), n
+        assert ops.total <= _old_count(_gaps(n)) - (n > 0), n
+        assert ops.total <= 3 * n.bit_length() - 2 or n == 0, n
+
+
+def test_modexp_never_costs_more_than_the_plain_chain():
+    # the count depends on n alone, so m = 1 keeps every product small; the
+    # first 100 calls also run with a 64-bit modulus
+    rng = random.Random(SEED + 1)
+    for i in range(2000):
+        n = rng.randrange(1, 1 << rng.randrange(1, 4097))
+        ops = OpCount()
+        assert modexp_spartition(3, n, 1, ops) == 0
+        assert ops.total <= _old_count(_gaps(n)) - 1, n
+        assert ops.total <= 3 * n.bit_length() - 2, n
+        if i < 100:
+            m = rng.getrandbits(64) | 1
+            again = OpCount()
+            assert modexp_spartition(-5, n, m, again) == pow(-5, n, m), (n, m)
+            assert again == ops, n
+
+
+def test_modexp_table_depth_is_the_least_best():
+    # exponents built from seeded gaps, 12 to 40 parts; each palette makes
+    # a different table win: none, depth 2, a deep one, or two depths tie.
+    # From 16 parts on the depth, seen as squarings - (K - 1) + 1, is the
+    # least D of least count
+    rng = random.Random(SEED + 2)
+    palettes = ((1,), (1, 2), (1, 1, 1, 1, 1, 2, 3), (1, 1, 1, 1, 3, 8),
+                (0, 1, 1, 2, 2, 3, 4, 6, 9, 12))
+    depths = set()
+    for case in range(500):
+        palette = palettes[case % len(palettes)]
+        gaps = [rng.choice(palette) for _ in range(rng.randrange(12, 41))]
+        exponents, k = [], 1
+        for d in gaps:
+            k += d
+            if exponents and k == exponents[-1]:
+                k += 1  # greedy repeats only the smallest part
+            exponents.append(k)
+        if gaps[0] == 0:  # the smallest part is 1, and repeated
+            exponents.insert(0, 1)
+        n = sum((1 << e) - 1 for e in exponents)
+        gaps = _gaps(n)
+        assert sorted(greedy_decompose(n).exponents) == exponents
+        counts = {depth: _model_count(gaps, depth) for depth in range(1, max(gaps) + 2)}
+        depth = min(counts, key=lambda d: (counts[d], d)) if len(gaps) >= 16 else 1
+        depths.add(depth)
+        ops = OpCount()
+        m = rng.getrandbits(127) | 1
+        assert modexp_spartition(5, n, m, ops) == pow(5, n, m), n
+        assert ops.total == counts[depth], (n, gaps)
+        assert ops.squarings == depth - 1 + max(exponents) - 1, (n, gaps)
+    assert {1, 2, 3, 8} <= depths
 
 
 def test_modexp_cost_is_linear_in_bits():

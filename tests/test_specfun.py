@@ -120,6 +120,28 @@ def test_gamma_on_the_real_axis_is_close_or_below_the_normal_range():
     assert values >= 40
 
 
+def test_gamma_never_returns_a_subnormal_on_the_real_axis():
+    # on (-170.62, -170.583) the Lanczos reflection still succeeds, yet
+    # |Gamma| is below sys.float_info.min there (Gamma(-170.6) = -2.08e-308):
+    # it raises DomainError as math.gamma's path does further down, and a
+    # normal |Gamma| just above the edge is still returned
+    raised = returned = 0
+    for i in range(201):
+        x = -170.63 + i * 0.0004
+        ref = mp_gamma(x)
+        try:
+            value = gamma_complex(x)
+        except DomainError:
+            assert abs(ref) < sys.float_info.min * (1 + 1e-12), x
+            raised += 1
+            continue
+        assert abs(value) >= sys.float_info.min, x
+        # the reflection's relative error reaches 1.02e-13 at -170.5828
+        assert abs(value - ref) <= 2e-13 * abs(ref), x
+        returned += 1
+    assert raised >= 100 and returned >= 50
+
+
 @pytest.mark.parametrize("im", [0.0, 1.0, T1, -200.0])
 def test_zeta_is_finite_up_to_the_float_range(im):
     # from Re s = 1076 every n^-s, n >= 2, underflows; from ~1e14 the

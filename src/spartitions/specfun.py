@@ -82,17 +82,16 @@ def gamma_complex(z) -> complex:
         raise DomainError(f"gamma pole at z = {z.real:g}")
     try:  # math/cmath raise OverflowError; a complex product turns inf or NaN
         value = _lanczos(z)
-        if cmath.isfinite(value) and (z.imag != 0.0 or abs(value) >= sys.float_info.min):
-            return value
     except OverflowError:
-        pass
-    if z.imag == 0.0:
+        value = complex(math.inf)
+    if z.imag == 0.0 and not cmath.isfinite(value):
         try:
-            value = math.gamma(z.real)
+            value = complex(math.gamma(z.real))
         except OverflowError:
-            value = 0.0
-        if abs(value) >= sys.float_info.min:
-            return complex(value)
+            pass
+    # a subnormal |Gamma| on the real axis raises, whichever path gave it
+    if cmath.isfinite(value) and (z.imag != 0.0 or abs(value) >= sys.float_info.min):
+        return value
     raise DomainError(f"Gamma(z) or an intermediate of it leaves the float range "
                       f"at z = {z}")
 

@@ -100,16 +100,20 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
         raise DomainError(f"f must be callable, got {f!r}")
     if not (_is_real(tol) and 0.0 < tol < math.inf):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    if not (_is_finite_real(a) and _is_finite_real(b) and a < b):
+    # compared as Python floats: a numpy float32 against a float past its
+    # range overflows in the cast that the mixed comparison makes
+    if not (_is_finite_real(a) and _is_finite_real(b) and float(a) < float(b)):
         raise DomainError(f"need finite real a < b, got [{a!r}, {b!r}]")
+    a, b = float(a), float(b)
 
     try:
-        inner = sorted(breakpoints)
+        inner = list(breakpoints)
         finite = all(map(_is_finite_real, inner))
-    except TypeError:  # not iterable, or values that do not compare
+    except TypeError:  # not iterable
         finite = False
     if not finite:
         raise DomainError(f"breakpoints must be finite reals, got {breakpoints!r}")
+    inner = sorted(map(float, inner))
     points = [a] + [p for p in inner if a < p < b] + [b]
 
     nevals = 0

@@ -74,10 +74,33 @@ _TAIL_I = math.pi ** 2 / 12.0 - _EULER_GAMMA ** 2 / 2.0 - _STIELTJES_1
 TAIL_I_ERROR_BOUND = 8 * 2.0 ** -53
 # W's frequencies t_nu = 2 pi nu / ln2 inside the specfun band: nu = 1..22
 _W_FREQS = int(IM_BAND * LN2 / (2.0 * math.pi))
-_W_T = tuple(2.0 * math.pi * nu / LN2 for nu in range(1, _W_FREQS + 1))
+
+
+def _w_term_bound(t: float) -> float:
+    """B(t) >= |Re c| + |Im c| for c = Gamma(i t) zeta(1 + i t), t >= 3.
+
+    sqrt(2) |Gamma(i t)| (3/4) ln t, by the modulus identity and Trudgian's
+    |zeta(1 + i t)| <= (3/4) ln t (Bull. Aust. Math. Soc. 89, 2014),
+    doubled to cover the rounding of the computed c.  Only math runs here.
+    """
+    return 2.0 * math.sqrt(2.0) * specfun.gamma_imag_axis_modulus(t) * 0.75 * math.log(t)
+
+
+def _w_rows() -> tuple:
+    # one row per nu = 1..22: t_nu, the Gamma and zeta arguments i t_nu and
+    # 1 + i t_nu, and R_nu, the largest B(t_mu) over mu > nu (0 for nu = 22)
+    rows, tail = [], 0.0
+    for nu in range(_W_FREQS, 0, -1):
+        t = 2.0 * math.pi * nu / LN2
+        rows.append((t, 1j * t, 1.0 + 1j * t, tail))
+        tail = max(tail, _w_term_bound(t))
+    return tuple(reversed(rows))
+
+
+_W_NU = _w_rows()
 # W's domain |z| <= 2^53 / t_22, about 4.5e13: past it the top phase t_22 z
 # has no fractional digit left, and near 1e307 it overflows to inf
-_W_MAX_Z = 2.0 ** 53 / _W_T[-1]
+_W_MAX_Z = 2.0 ** 53 / _W_NU[-1][0]
 
 # W evaluates Gamma and zeta at the same few frequencies on every call, so
 # the names it calls them through remember one value per frequency; the
@@ -245,14 +268,27 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     there, far below double noise.  z must be real with |z| <= 2^53 / t_22
     (about 4.5e13), where t_22 is the top frequency kept; past that the
     phase t_22 z keeps no fractional digit, and DomainError is raised.
+
+    The terms are added in nu order, and the sum stops after term nu once
+    R_nu < ulp(total)/4, where R_nu bounds every later term.  Each bound is
+    B(t) = 2 sqrt(2) |Gamma(i t)| (3/4) ln t, from |Gamma(i t)| =
+    sqrt(pi/(t sinh(pi t))) and Trudgian's |zeta(1 + i t)| <= (3/4) ln t
+    for t >= 3 (Bull. Aust. Math. Soc. 89, 2014); the Fourier form is that
+    of Flajolet, Gourdon & Dumas (Theor. Comput. Sci. 144, 1995).  A float
+    sits at least half an ulp(total) from its lower neighbour, so adding
+    less than a quarter ulp rounds back to total: the result is the full
+    sum's, bit for bit.  |Gamma(i t)| falls by about e^-14 per nu, so a W
+    near 1e-6 stops after 3 terms, rarely 4.
     """
     _check_int("nu_max", nu_max, 1)
     if not (_is_finite_real(z) and abs(z) <= _W_MAX_Z):
         raise DomainError(f"W needs a real z with |z| <= {_W_MAX_Z:.4g}, got {z!r}")
     total = 0.0
-    for t in _W_T[:nu_max]:
-        c = gamma_complex(1j * t) * zeta_complex(1.0 + 1j * t)
+    for t, it, s, rest in _W_NU[:nu_max]:
+        c = gamma_complex(it) * zeta_complex(s)
         total += c.real * math.cos(t * z) - c.imag * math.sin(t * z)
+        if rest < math.ulp(total) / 4:
+            break
     return complex(2.0 * total / LN2)
 
 

@@ -39,11 +39,11 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 
-# B_{2k} for k = 1..12
+# B_{2k} for k = 1..10
 _B2K = (
     1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
     -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0,
-    -174611.0 / 330.0, 854513.0 / 138.0, -236364091.0 / 2730.0,
+    -174611.0 / 330.0,
 )
 
 
@@ -129,7 +129,7 @@ def gamma_imag_axis_modulus(t: float) -> float:
 def zeta_complex(s) -> complex:
     """zeta(s) for Re s >= 0.6, |Im s| <= 200, s != 1.
 
-    Euler-Maclaurin: sum_{n<N} n^-s + N^{1-s}/(s-1) + N^-s/2 + 12
+    Euler-Maclaurin: sum_{n<N} n^-s + N^{1-s}/(s-1) + N^-s/2 + 10
     Bernoulli corrections, N = int(|Im s|) + 24; the absolute error
     measured against mpmath stays below 2e-13 across the band.  Past
     Re s = 1076, where every n^-s with n >= 2 underflows, it is exactly 1.

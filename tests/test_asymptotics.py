@@ -405,25 +405,130 @@ def test_w_memo_is_bit_identical():
             assert w_oscillation_complex(z, nu_max) == w_unmemoized(z, nu_max), (z, nu_max)
 
 
-def test_w_memo_holds_every_frequency():
-    # nu = 1..22 are the frequencies inside the specfun band, one entry each
+def test_w_memo_is_bounded_and_warm():
+    # nu = 1..22 are the frequencies inside the specfun band, one memo entry
+    # each at most; W's early exit reaches only the first few of them
     freqs = asymptotics._W_FREQS
     assert freqs == 22
     assert 2.0 * math.pi * freqs / LN2 <= specfun.IM_BAND < 2.0 * math.pi * (freqs + 1) / LN2
     # one table of the frequencies, the expression W and its domain read
-    assert len(asymptotics._W_T) == freqs
-    assert all(t == 2.0 * math.pi * nu / LN2 for nu, t in enumerate(asymptotics._W_T, 1))
-    assert asymptotics._W_T[-1] <= specfun.IM_BAND
-    w_oscillation_complex(0.0, freqs)
+    assert len(asymptotics._W_NU) == freqs
+    for nu, (t, it, s, _) in enumerate(asymptotics._W_NU, 1):
+        assert t == 2.0 * math.pi * nu / LN2
+        assert (it, s) == (1j * t, 1.0 + 1j * t)
+    assert asymptotics._W_NU[-1][0] <= specfun.IM_BAND
+    zs = (0.0, 0.1, 3.0, -7.25, _w_zero(0.0))
+    for z in zs:
+        w_oscillation_complex(z, 40)
     before = [fn.cache_info() for fn in (asymptotics.gamma_complex, asymptotics.zeta_complex)]
     for nu_max in (1, 5, 16, 22, 23, 40):
-        for z in (0.1, 3.0, -7.25):
+        for z in zs:
             w_oscillation_complex(z, nu_max)
     after = [fn.cache_info() for fn in (asymptotics.gamma_complex, asymptotics.zeta_complex)]
     for b, a in zip(before, after):
-        assert b.currsize == a.currsize == a.maxsize == freqs
+        assert a.maxsize == freqs
+        assert b.currsize == a.currsize <= freqs
         assert a.misses == b.misses
         assert a.hits > b.hits
+
+
+def _w_zero(start):
+    # bisect W from a sign change in [start, start + ln2] down to adjacent
+    # floats; near there the partial sums are tiny and the exit must wait
+    grid = [start + j * LN2 / 16.0 for j in range(17)]
+    for a, b in zip(grid, grid[1:]):
+        if (w_oscillation(a, 22) < 0.0) != (w_oscillation(b, 22) < 0.0):
+            break
+    else:
+        raise AssertionError("W keeps its sign over a period")
+    negative_at_a = w_oscillation(a, 22) < 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            return a
+        if (w_oscillation(mid, 22) < 0.0) == negative_at_a:
+            a = mid
+        else:
+            b = mid
+
+
+def test_w_term_bound_covers_every_coefficient():
+    # B(t_nu) >= |Re c_nu| + |Im c_nu| for specfun's c_nu and mpmath's,
+    # and R_nu is the largest bound after nu (0 after the last)
+    rows = asymptotics._W_NU
+    bounds = [asymptotics._w_term_bound(t) for t, _, _, _ in rows]
+    with mpmath.workdps(30):
+        for (t, it, s, _), bound in zip(rows, bounds):
+            for c in (specfun.gamma_complex(it) * specfun.zeta_complex(s),
+                      complex(mpmath.gamma(1j * t) * mpmath.zeta(1 + 1j * t))):
+                # the worst ratio measured is 0.41, so the bound's factor 2
+                # for rounding is never needed
+                assert abs(c.real) + abs(c.imag) <= 0.5 * bound, t
+    assert [r for _, _, _, r in rows] == [max(bounds[nu:], default=0.0)
+                                          for nu in range(1, len(rows) + 1)]
+
+
+def test_w_early_exit_is_bit_identical():
+    rng = random.Random(33)
+    limit = asymptotics._W_MAX_Z
+    zeros = [_w_zero(k * LN2) for k in (0, 1, rng.randrange(10 ** 6))]
+    zeros.append(_w_zero(rng.uniform(-1e9, 1e9)))
+    near_zero = [x for z in zeros
+                 for x in (z, math.nextafter(z, math.inf), z + 1e-15, z - 1e-12, z + 1e-9)]
+    edges = [limit, -limit, math.nextafter(limit, 0.0), limit - rng.random(),
+             -limit + rng.random()]
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-17, 1e-9]
+    for z in near_zero + edges + tiny + [rng.uniform(-100.0, 100.0) for _ in range(4)]:
+        for nu_max in range(1, 41):
+            assert w_oscillation_complex(z, nu_max) == w_unmemoized(z, nu_max), (z, nu_max)
+    # more points at the full frequency count: adjacent floats of W's zeros
+    # in many periods, where the partial sums cancel deepest
+    for k in rng.sample(range(10 ** 5), 20):
+        z = _w_zero(k * LN2)
+        for x in (z, math.nextafter(z, -math.inf), math.nextafter(z, math.inf)):
+            assert w_oscillation_complex(x, 22) == w_unmemoized(x, 22), x
+
+
+def test_w_exit_rule_holds_at_a_power_of_two(monkeypatch):
+    # made-up terms at z = 0, where term nu is Re c_nu: below 1.0 the
+    # spacing is half ulp(1.0), so each later term of -0.3 ulp still
+    # changes the sum, and a half-ulp rule would stop after the first term
+    ulp = math.ulp(1.0)
+    terms = [1.0] + [-0.3 * ulp] * 8 + [0.1 * ulp]
+    rows = [(1.0, 1j * nu, 1.0 + 1j * nu, max(map(abs, terms[nu:]), default=0.0))
+            for nu in range(1, len(terms) + 1)]
+    monkeypatch.setattr(asymptotics, "_W_NU", tuple(rows))
+    monkeypatch.setattr(asymptotics, "gamma_complex", lambda it: complex(terms[int(it.imag) - 1]))
+    monkeypatch.setattr(asymptotics, "zeta_complex", lambda s: 1.0 + 0.0j)
+    total = 0.0
+    for term in terms:
+        total += term
+    assert total == 1.0 - 4 * ulp
+    assert 2.0 * total / LN2 != 2.0 / LN2
+    assert w_oscillation_complex(0.0, len(terms)) == complex(2.0 * total / LN2)
+
+
+def test_w_stops_after_few_terms(monkeypatch):
+    # a W near 1e-6 needs 3 terms, rarely 4: term 4 is near 1e-25
+    calls = []
+    memo = asymptotics.gamma_complex
+
+    def counted(z):
+        calls.append(z)
+        return memo(z)
+
+    monkeypatch.setattr(asymptotics, "gamma_complex", counted)
+    rng = random.Random(12)
+    counts = []
+    for _ in range(500):
+        calls.clear()
+        w_oscillation_complex(rng.uniform(0.0, 50.0), 40)
+        counts.append(len(calls))
+    assert set(counts) <= {3, 4}
+    assert counts.count(3) > 0.9 * len(counts)
+    calls.clear()
+    w_oscillation_complex(_w_zero(0.0), 40)
+    assert len(calls) > 4
 
 
 def test_constant_caches_are_bounded():

@@ -77,12 +77,9 @@ _W_FREQS = int(IM_BAND * LN2 / (2.0 * math.pi))
 
 
 def _w_term_bound(t: float) -> float:
-    """B(t) >= |Re c| + |Im c| for c = Gamma(i t) zeta(1 + i t), t >= 3.
-
-    sqrt(2) |Gamma(i t)| (3/4) ln t, by the modulus identity and Trudgian's
-    |zeta(1 + i t)| <= (3/4) ln t (Bull. Aust. Math. Soc. 89, 2014),
-    doubled to cover the rounding of the computed c.  Only math runs here.
-    """
+    """B(t) >= |Re c| + |Im c| for c = Gamma(i t) zeta(1 + i t), t >= 3:
+    the tail bound of w_oscillation_complex, doubled to cover the rounding
+    of the computed c.  Only math runs here, no Gamma or zeta."""
     return 2.0 * math.sqrt(2.0) * specfun.gamma_imag_axis_modulus(t) * 0.75 * math.log(t)
 
 
@@ -275,8 +272,8 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     sqrt(pi/(t sinh(pi t))) and Trudgian's |zeta(1 + i t)| <= (3/4) ln t
     for t >= 3 (Bull. Aust. Math. Soc. 89, 2014); the Fourier form is that
     of Flajolet, Gourdon & Dumas (Theor. Comput. Sci. 144, 1995).  A float
-    sits at least half an ulp(total) from its lower neighbour, so adding
-    less than a quarter ulp rounds back to total: the result is the full
+    sits at least half an ulp(total) from either neighbour, so adding less
+    than a quarter ulp rounds back to total: the result is the full
     sum's, bit for bit.  |Gamma(i t)| falls by about e^-14 per nu, so a W
     near 1e-6 stops after 3 terms, rarely 4.
     """

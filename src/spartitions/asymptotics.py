@@ -200,14 +200,14 @@ def tail_integral_I(tol: float = 1e-8) -> float:
     return _TAIL_I
 
 
-def _h(c: float, tol: float) -> float:
+def _h(c: float) -> float:
     # c - b ln l1 - a ln^2(l1)/2 + a I collapses to c + a I: l1 = 1
-    return c + A * tail_integral_I(tol)
+    return c + A * _TAIL_I
 
 
 def H_constant(tol: float = 1e-8) -> float:
     """Additive constant H = c + I/ln 2 of the Mersenne family."""
-    return _h(c_constant(tol), tol)
+    return _h(c_constant(tol))
 
 
 def sawtooth_log_integral_series(u: float, nu_max: int = 10_000) -> float:
@@ -318,33 +318,39 @@ def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = 1e-8,
     """Assemble the ln P_h(u) estimate of a dyadic family for finite u > e:
     at u = n + 1, of ln p(n), the number of partitions of n into the
     family's parts, not of the cumulative count over all m < u.  An exact
-    int u may lie beyond the float range."""
+    int u may lie beyond the float range.  tol is only checked: params
+    already holds c."""
     if not (_is_real(u) and math.e < u < math.inf):
         raise DomainError(f"estimate needs finite u > e, got {u!r}")
     if not isinstance(params, AsymptoticParams):
         raise DomainError(f"estimate needs AsymptoticParams, got {params!r}")
     if not (_is_finite_real(params.b) and _is_finite_real(params.c)):
         raise DomainError(f"estimate needs finite real b and c, got {params!r}")
+    _check_tol(tol, "estimate")
+    return _estimate(u, params.b, params.c, nu_max)
+
+
+def _estimate(u: float | int, b: float, c: float, nu_max: int) -> AsymptoticBreakdown:
+    # the six terms at a checked u > e, finite b and c; nu_max is W's to check
     lu = math.log(u)
     arg = lu - math.log(lu) - math.log(A)
     quad_term = 0.5 * A * arg * arg
     lin_term = (A - 0.5) * lu
-    bline_term = (params.b - 0.5) * arg
+    bline_term = (b - 0.5) * arg
     w_value = w_oscillation_complex(arg, nu_max).real
     gauss_const = -0.5 * math.log(2.0 * math.pi)
-    h_const = _h(params.c, tol)
+    h_const = _h(c)
     terms = (quad_term, lin_term, bline_term, w_value, gauss_const, h_const)
     return AsymptoticBreakdown(*terms, total=math.fsum(terms))
 
 
 def ln_ps_estimate(n: int, tol: float = 1e-8, nu_max: int = 16) -> AsymptoticBreakdown:
     """Estimate of ln p_s(n) (Mersenne parts, b = -1/2), n >= 2:
-    ln_Ph_estimate at u = n + 1.
+    ln_Ph_estimate's six terms at u = n + 1 and c = c_constant(tol).
 
     The oscillation argument is ln u - lnln u - ln a = ln(n+1)
     - lnln(n+1) + lnln2, the same combination that is squared in the
     leading term.
     """
-    _check_int("n", n, 2)
-    params = AsymptoticParams(b=-0.5, c=c_constant(tol))
-    return ln_Ph_estimate(n + 1, params, tol, nu_max)
+    _check_int("n", n, 2)  # n >= 2 is what keeps u = n + 1 above e
+    return _estimate(n + 1, -0.5, c_constant(tol), nu_max)

@@ -90,6 +90,7 @@ def _estimate_record(n: int, bd, exact_ln: float | None) -> dict:
 
 
 def _cmd_estimate(args, emit):
+    asymptotics._check_tol(args.tol, "--tol")  # so that a message names --tol
     bd = asymptotics.ln_ps_estimate(args.n, tol=args.tol, nu_max=args.nu_max)
     exact_ln = (counting.ln_count(_exact_count(args.n))
                 if args.n <= counting.MAX_EXACT_N else None)
@@ -98,6 +99,7 @@ def _cmd_estimate(args, emit):
 
 def _cmd_constants(args, emit):
     tol = args.tol
+    asymptotics._check_tol(tol, "--tol")  # so that a message names --tol
     alpha = asymptotics.alpha_constant(tol)
     c = asymptotics.c_constant(tol)
     tail = asymptotics.tail_integral_I(tol)

@@ -590,6 +590,21 @@ def test_generic_estimate_matches_mersenne_wrapper():
     assert via1 == via2
 
 
+def test_mersenne_estimate_is_the_generic_one_at_every_input():
+    # ln_ps_estimate builds no params record, yet stays ln_Ph_estimate at
+    # u = n + 1 with b = -1/2 and c = c_constant(tol), bit for bit
+    rng = random.Random(3402)
+    for i in range(120):
+        digits = rng.randint(1, 320)
+        n = rng.randrange(max(2, 10 ** (digits - 1)), 10 ** digits)
+        if i == 0:
+            n = 10 ** 400
+        nu = rng.randint(1, 40)
+        tol = rng.choice((1e-10, 1e-8, 1e-6)) if i % 4 else rng.uniform(1e-10, 1e-4)
+        assert ln_ps_estimate(n, tol, nu) == ln_Ph_estimate(n + 1, mersenne_params(tol),
+                                                            tol, nu), (n, tol, nu)
+
+
 def test_estimate_breakdown_structure():
     n = 10 ** 4
     bd = ln_ps_estimate(n)
@@ -659,10 +674,15 @@ def test_estimate_total_increasing():
 
 
 def test_estimate_domain_errors():
+    # n >= 2 alone keeps ln_ps_estimate's u = n + 1 above e
     with pytest.raises(DomainError):
         ln_ps_estimate(1)
-    with pytest.raises(DomainError):
-        ln_Ph_estimate(2.0, mersenne_params(1e-8))
+    assert math.isfinite(ln_ps_estimate(2).total)
+    for u in (2.0, math.e):
+        with pytest.raises(DomainError):
+            ln_Ph_estimate(u, mersenne_params(1e-8))
+    assert math.isfinite(ln_Ph_estimate(math.nextafter(math.e, 3.0),
+                                        mersenne_params(1e-8)).total)
     # a str or None u would reach a comparison's TypeError, and params
     # without b and c an AttributeError
     for u in ("x", None, True):
@@ -689,10 +709,12 @@ def test_estimate_domain_errors():
             ln_ps_estimate(n)
     with pytest.raises(DomainError):
         ln_ps_estimate(4096, 1e-8, 2.5)
-    for tol in (1e-11, math.nan, math.inf):
+    # ln_Ph_estimate checks its own tol, which its params make unused, and
+    # names the estimate, not the tail integral
+    for tol in (1e-11, math.nan, math.inf, "x", True):
         with pytest.raises(DomainError):
             binary_partition_params(tol)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^estimate needs a finite tol"):
             ln_Ph_estimate(501.0, AsymptoticParams(b=0.5, c=LN2 / 12.0), tol)
 
 

@@ -23,10 +23,9 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 300
-# the largest n_max of an exact table: a 10^6 p_s table takes about
-# 0.24-0.28 s and 107-118 MB peak RSS, and the cost grows faster than n.  It
-# also keeps n_max + 1 below 2^31, which the limb width of _dp_blocks
-# needs
+# the largest n_max of an exact table: a 10^6 p_s table peaks at about
+# 107-118 MB RSS, and the cost grows faster than n.  It also keeps
+# n_max + 1 below 2^31, which the limb width of _dp_blocks needs
 MAX_EXACT_N = 10 ** 6
 
 
@@ -207,9 +206,7 @@ def count_s_partitions_table(n_max: int) -> CountTable:
     from _s_blocks, the one checked stream of this DP, each decoded when it
     is read: this table collects them into one list, and the CLI's table
     and count read the same stream without it, a block at a time or the
-    one block that holds n.  On a 2-vCPU Xeon with CPython 3.11 and numpy
-    2.4, n_max = 10^5 takes about 13-19 ms and n_max = 10^6 about
-    0.24-0.28 s.  Raises DomainError past MAX_EXACT_N.
+    one block that holds n.  Raises DomainError past MAX_EXACT_N.
     """
     # extended a block at a time: a [0] * (n_max + 1) list filled by slice
     # assignment faulted fresh pages on each build of a loop, about 8.0

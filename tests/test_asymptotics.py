@@ -588,9 +588,6 @@ def test_generic_estimate_matches_mersenne_wrapper():
     via2 = ln_Ph_estimate(float(n + 1), mersenne_params(1e-8))
     via1 = ln_ps_estimate(n)
     assert via1 == via2
-
-
-def test_mersenne_estimate_is_the_generic_one_at_every_input():
     # ln_ps_estimate builds no params record, yet stays ln_Ph_estimate at
     # u = n + 1 with b = -1/2 and c = c_constant(tol), bit for bit
     rng = random.Random(3402)

@@ -80,17 +80,11 @@ def test_constants(capsys):
 
 def test_constants_rejects_nan_tol(capsys):
     # the message names the flag, not alpha, which the user never called
-    assert run(["constants", "--tol", "nan"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "spartitions: error: --tol needs a finite tol >= 1e-10, got nan\n"
-
-
-def test_estimate_rejects_nan_tol(capsys):
-    assert run(["estimate", "--n", "5", "--tol", "nan"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "spartitions: error: --tol needs a finite tol >= 1e-10, got nan\n"
+    for argv in (["constants", "--tol", "nan"], ["estimate", "--n", "5", "--tol", "nan"]):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "spartitions: error: --tol needs a finite tol >= 1e-10, got nan\n"
 
 
 def test_w_eval(capsys):

@@ -419,7 +419,7 @@ def test_binary_table_cost():
 
 
 def test_s_table_cost():
-    # the docstring's 13-19 ms at 10^5, with room for a host that drifts
+    # a 10^5 build, with room for a host that drifts
     best = math.inf
     for _ in range(3):
         start = time.perf_counter()

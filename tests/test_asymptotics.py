@@ -119,6 +119,27 @@ def test_alpha_matches_closed_form():
         assert abs(alpha_constant(tol) - closed) <= tol, tol
 
 
+@pytest.mark.parametrize("tol, value", [
+    # tol > 1 keeps K = 2 at the first test, tol in (1/3, 1] stops there
+    (2.0, 0.04733527467008827),
+    (1.0, 0.04733527467008827),
+    # 0.5/(2^K - 1) equals 0.5 tol exactly at K = 2 and K = 3: the tail
+    # bound must fall strictly below tol/2, so K goes one further
+    (1 / 3, 0.05167868672800971),
+    (1 / 7, 0.053645825712544164),
+    (1e-6, 0.055492957071644845),
+    (1e-8, 0.05549298418331187),
+    (1e-10, 0.05549298439512169),
+])
+def test_alpha_frozen_values(tol, value):
+    # regression pins of the recipe (K from the tail bound, one quadrature
+    # over [2, 2^(K+1)] split at 2^2..2^K), each within tol of the closed form
+    closed = LN2 - math.pi ** 2 / (12.0 * LN2) - math.log(
+        math.prod(1.0 - 2.0 ** -r for r in range(2, 60)))
+    assert abs(value - closed) <= tol
+    assert alpha_constant(tol) == value
+
+
 def test_alpha_first_slice_against_midpoint_oracle():
     oracle = midpoint_refine(
         lambda v: (1.5 - math.log2(v)) / (v * (v - 1.0)), 2.0, 4.0)
@@ -194,6 +215,8 @@ def test_tail_integral_closed_form():
         # the bound the constants command reports is a rounding-level one
         assert abs(mpmath.mpf(value) - closed) <= asymptotics.TAIL_I_ERROR_BOUND < 1e-15
     assert value == 0.7286939170039306
+    # 8 units of 2^-53 over the derivation's 5.3: the constants command prints it
+    assert asymptotics.TAIL_I_ERROR_BOUND == 8 * 2.0 ** -53
     assert abs(value - float(integral)) <= 2.0 ** -53 * value
     assert abs(value - float(closed)) <= 2.0 ** -53 * value
     assert not hasattr(tail_integral_I, "cache_info")
@@ -223,6 +246,13 @@ def test_sawtooth_log_integral_series_matches_closed_form():
         for u in (3.0, 5.0, 10.0, 6.7, 1.0):
             series = sawtooth_log_integral_series(u, nu_max)
             assert abs(series - closed_sawtooth_integral(u)) <= bound, (u, nu_max)
+    # exactly nu_max cosines, 10_000 by default
+    for u in (1.5, 3.0, 7.3):
+        x = 2.0 * math.pi * math.log2(u)
+        for nu_max, cosines in ((1, math.cos(x)), (2, math.cos(x) + math.cos(2.0 * x) / 4.0)):
+            series = LN2 / 12.0 - LN2 / (2.0 * math.pi ** 2) * cosines
+            assert abs(sawtooth_log_integral_series(u, nu_max) - series) <= 1e-16, (u, nu_max)
+        assert sawtooth_log_integral_series(u) == sawtooth_log_integral_series(u, 10_000)
 
 
 def test_sawtooth_log_integral_series_dyadic_zero():
@@ -260,9 +290,11 @@ def test_series_domain():
     for nu_max in (0, -1, 2.5, 3.0, True):
         with pytest.raises(DomainError):
             sawtooth_log_integral_series(3.0, nu_max)
-    # the series allocates O(nu_max) floats, so the cap is checked first
+    # the series allocates O(nu_max) floats, so the cap of 10^6 is checked first
     with pytest.raises(DomainError):
-        sawtooth_log_integral_series(3.0, asymptotics._SERIES_NU_MAX + 1)
+        sawtooth_log_integral_series(3.0, 10 ** 6 + 1)
+    bound = (LN2 / (2.0 * math.pi ** 2)) / 10 ** 6
+    assert abs(sawtooth_log_integral_series(3.0, 10 ** 6) - closed_sawtooth_integral(3.0)) <= bound
 
 
 def test_sawtooth_integral_against_closed_form():
@@ -536,7 +568,7 @@ def test_constant_caches_are_bounded():
     for tol in tols:
         alpha_constant(tol)
     info = alpha_constant.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert info.currsize == info.maxsize == 32  # the 32 most recent tols
     alpha_constant(tols[-1])  # the latest tol is still cached
     assert alpha_constant.cache_info().hits == info.hits + 1
 
@@ -697,7 +729,7 @@ def test_estimate_domain_errors():
     for n in (math.nan, math.inf):
         with pytest.raises(DomainError):
             ln_ps_estimate(n)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^estimate needs finite u > e"):
             ln_Ph_estimate(n, binary_partition_params(1e-8))
     # n must be an int: a float such as 2.5 would give an estimate at a
     # non-integer n, and a str or None would reach a comparison's TypeError

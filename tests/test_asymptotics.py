@@ -133,10 +133,8 @@ def test_alpha_matches_closed_form():
 ])
 def test_alpha_frozen_values(tol, value):
     # regression pins of the recipe (K from the tail bound, one quadrature
-    # over [2, 2^(K+1)] split at 2^2..2^K), each within tol of the closed form
-    closed = LN2 - math.pi ** 2 / (12.0 * LN2) - math.log(
-        math.prod(1.0 - 2.0 ** -r for r in range(2, 60)))
-    assert abs(value - closed) <= tol
+    # over [2, 2^(K+1)] split at 2^2..2^K), each within tol of alpha
+    assert abs(value - ALPHA_REF) <= tol
     assert alpha_constant(tol) == value
 
 

@@ -123,8 +123,8 @@ def test_alpha_matches_closed_form():
     # tol > 1 keeps K = 2 at the first test, tol in (1/3, 1] stops there
     (2.0, 0.04733527467008827),
     (1.0, 0.04733527467008827),
-    # 0.5/(2^K - 1) equals 0.5 tol exactly at K = 2 and K = 3: the tail
-    # bound must fall strictly below tol/2, so K goes one further
+    # 0.5/(2^K - 1) equals 0.5 tol exactly, at K = 2 for 1/3 and K = 3 for
+    # 1/7: the tail bound must fall strictly below tol/2, so K goes one further
     (1 / 3, 0.05167868672800971),
     (1 / 7, 0.053645825712544164),
     (1e-6, 0.055492957071644845),

@@ -79,7 +79,7 @@ def test_constants(capsys):
 
 
 def test_constants_rejects_nan_tol(capsys):
-    # the message names the flag, not alpha, which the user never called
+    # the message names the flag the user passed
     for argv in (["constants", "--tol", "nan"], ["estimate", "--n", "5", "--tol", "nan"]):
         assert run(argv) == 1
         out, err = capsys.readouterr()

@@ -11,11 +11,8 @@ N(u) = a ln u + b + R(u), the estimate
 at u = n + 1 is of ln p(n), the point count: the number of partitions of
 n into the parts l1, l2, ..., which acceptance criteria 8 and 9 compare
 it against.  It is not the cumulative count of solutions of
-r1*l1 + r2*l2 + ... < u, whose ln lies higher by a growing margin.  For
-Mersenne parts at n = 10^3, 10^4, 10^5 and 10^6 the estimate is 18.662,
-35.138, 58.218 and 88.133, ln p_s(n) is 17.604, 34.217, 57.387 and
-87.370, and ln of p_s(0) + ... + p_s(n) is 22.617, 41.178, 66.380 and
-98.449.
+r1*l1 + r2*l2 + ... < u, whose ln lies higher by a growing margin (the
+README lists all three at n = 10^3..10^6).
 
 H = c - b ln l1 - a ln^2(l1)/2 + a * I, where c is the mean of the
 integrated remainder, I is a fixed tail integral with a closed form, and
@@ -59,6 +56,8 @@ __all__ = [
 
 LN2 = math.log(2.0)
 A = 1.0 / LN2  # the coefficient a of ln u in N(u), shared by both families
+DEFAULT_TOL = 1e-8  # every tol default of the estimate layer, and --tol's
+DEFAULT_NU_MAX = 16  # every nu_max default of W and the estimates, and --nu-max's
 _MIN_TOL = 1e-10
 _SERIES_NU_MAX = 10 ** 6  # the series allocates O(nu_max) floats
 # distinct tols whose alpha stays cached; an unbounded cache grows with
@@ -145,7 +144,7 @@ def sawtooth_log_integral(u: float, tol: float = 1e-10) -> float:
     return LN2 * y * (1.0 - y) / 2.0
 
 
-def alpha_constant(tol: float = 1e-8) -> float:
+def alpha_constant(tol: float = DEFAULT_TOL) -> float:
     """The dyadic sawtooth integral of f(v)/(v(v-1)) from 2 to infinity.
 
     One adaptive quadrature over [2, 2^(K+1)] at tol/2, split at the
@@ -182,13 +181,13 @@ def _alpha_integrand(v: float) -> float:
     return (exponent - 0.5 - math.log2(v)) / (v * (v - 1.0))
 
 
-def c_constant(tol: float = 1e-8) -> float:
+def c_constant(tol: float = DEFAULT_TOL) -> float:
     """(pi^2 + ln^2 2)/(12 ln 2) plus the sawtooth integral constant."""
     closed = (math.pi ** 2 + LN2 ** 2) / (12.0 * LN2)
     return closed + alpha_constant(tol)
 
 
-def tail_integral_I(tol: float = 1e-8) -> float:
+def tail_integral_I(tol: float = DEFAULT_TOL) -> float:
     """Integral of (ln v - ln(1-e^-v))/(e^v - 1) over (0, infinity), exact.
 
     With 1/(e^v - 1) = sum_j e^-jv the j-th term integrates to
@@ -205,7 +204,7 @@ def _h(c: float) -> float:
     return c + A * _TAIL_I
 
 
-def H_constant(tol: float = 1e-8) -> float:
+def H_constant(tol: float = DEFAULT_TOL) -> float:
     """Additive constant H = c + I/ln 2 of the Mersenne family."""
     return _h(c_constant(tol))
 
@@ -240,7 +239,7 @@ class AsymptoticParams:
     c: float
 
 
-def binary_partition_params(tol: float = 1e-8) -> AsymptoticParams:
+def binary_partition_params(tol: float = DEFAULT_TOL) -> AsymptoticParams:
     """Parameters of the power-of-two family 1, 2, 4, 8, ...
 
     Here N(u) = ln u/ln2 + 1/2 + f(u), so b = +1/2 and the integrated
@@ -251,7 +250,7 @@ def binary_partition_params(tol: float = 1e-8) -> AsymptoticParams:
     return AsymptoticParams(b=0.5, c=LN2 / 12.0)
 
 
-def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
+def w_oscillation_complex(z: float, nu_max: int = DEFAULT_NU_MAX) -> complex:
     """The oscillation W(z) as a complex number whose imaginary part is 0.
 
     1/ln2 times the sum over 0 < |nu| <= nu_max of Gamma(i t) zeta(1 + i t)
@@ -289,7 +288,7 @@ def w_oscillation_complex(z: float, nu_max: int = 16) -> complex:
     return complex(2.0 * total / LN2)
 
 
-def w_oscillation(z: float, nu_max: int = 16) -> float:
+def w_oscillation(z: float, nu_max: int = DEFAULT_NU_MAX) -> float:
     """The ln2-periodic oscillation W(z) of the built-in dyadic family,
     for real |z| <= 2^53 / t_22 (about 4.5e13)."""
     return w_oscillation_complex(z, nu_max).real
@@ -313,8 +312,8 @@ class AsymptoticBreakdown:
     total: float
 
 
-def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = 1e-8,
-                   nu_max: int = 16) -> AsymptoticBreakdown:
+def ln_Ph_estimate(u: float | int, params: AsymptoticParams, tol: float = DEFAULT_TOL,
+                   nu_max: int = DEFAULT_NU_MAX) -> AsymptoticBreakdown:
     """Assemble the ln P_h(u) estimate of a dyadic family for finite u > e:
     at u = n + 1, of ln p(n), the number of partitions of n into the
     family's parts, not of the cumulative count over all m < u.  An exact
@@ -344,7 +343,8 @@ def _estimate(u: float | int, b: float, c: float, nu_max: int) -> AsymptoticBrea
     return AsymptoticBreakdown(*terms, total=math.fsum(terms))
 
 
-def ln_ps_estimate(n: int, tol: float = 1e-8, nu_max: int = 16) -> AsymptoticBreakdown:
+def ln_ps_estimate(n: int, tol: float = DEFAULT_TOL,
+                   nu_max: int = DEFAULT_NU_MAX) -> AsymptoticBreakdown:
     """Estimate of ln p_s(n) (Mersenne parts, b = -1/2), n >= 2:
     ln_Ph_estimate's six terms at u = n + 1 and c = c_constant(tol).
 

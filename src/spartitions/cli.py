@@ -191,17 +191,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="asymptotic ln p_s(n) breakdown")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--nu-max", type=int, default=16)
+    p.add_argument("--tol", type=float, default=asymptotics.DEFAULT_TOL)
+    p.add_argument("--nu-max", type=int, default=asymptotics.DEFAULT_NU_MAX)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("constants", help="alpha, c, tail integral, H")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=asymptotics.DEFAULT_TOL)
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("w-eval", help="oscillation W over one period")
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--nu-max", type=int, default=16)
+    p.add_argument("--nu-max", type=int, default=asymptotics.DEFAULT_NU_MAX)
     p.set_defaults(func=_cmd_w_eval)
 
     p = sub.add_parser("bhatt-audit", help="exact counts vs the claimed bound")
@@ -223,7 +223,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("binary-cross-check",
                        help="generic estimate with power-of-two parts vs exact")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nu-max", type=int, default=16)
+    p.add_argument("--nu-max", type=int, default=asymptotics.DEFAULT_NU_MAX)
     p.set_defaults(func=_cmd_binary_cross_check)
 
     return parser

@@ -208,9 +208,9 @@ def count_s_partitions_table(n_max: int) -> CountTable:
     and count read the same stream without it, a block at a time or the
     one block that holds n.  Raises DomainError past MAX_EXACT_N.
     """
-    # extended a block at a time: a [0] * (n_max + 1) list filled by slice
-    # assignment faulted fresh pages on each build of a loop, about 8.0
-    # against 6.75 ms at 10^5, though it peaks lower at 10^6
+    # extended a block at a time, so a loop of builds reuses freed heap
+    # pages: a [0] * (n_max + 1) list filled by slice assignment faulted
+    # fresh ones on each build, though it peaks lower at 10^6
     counts = []
     for block in _s_blocks(n_max):
         counts += block
@@ -239,9 +239,7 @@ def count_binary_partitions_table(n_max: int) -> CountTable:
     hi <= 2m + 1; each block takes hi = min(2m + 1, m + 4096), which keeps
     its temporary lists small.  That is n_max/2 big-integer additions, run
     in C by itertools.accumulate, and b(2m) and b(2m + 1) share one int
-    object.  On a 2-vCPU Xeon with CPython 3.11, n_max = 10^5 takes about
-    2.5-5 ms and n_max = 10^6 about 0.04-0.075 s.  Raises DomainError past
-    MAX_EXACT_N.
+    object.  Raises DomainError past MAX_EXACT_N.
     """
     _check_n_max(n_max)
     half = n_max // 2

@@ -4,6 +4,8 @@ that decide when to raise one."""
 import math
 import numbers
 
+__all__ = ["AccuracyError", "DomainError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the supported domain of an operation."""

@@ -5,8 +5,8 @@ loop.  Nodes are strictly interior, so integrands with removable
 endpoint singularities (ln(1+t)/t at 0) can be integrated without
 special casing, provided callers supply any interior breakpoints
 (sawtooth corners, dyadic points) up front: the engine never subdivides
-*across* a supplied breakpoint, it starts from them.  Limits must be finite: callers cut infinite tails off with an
-analytic bound first.
+*across* a supplied breakpoint, it starts from them.  Limits must be
+finite: callers cut infinite tails off with an analytic bound first.
 """
 
 import heapq
@@ -92,9 +92,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
     breakpoints: finite real abscissae where f or a derivative jumps; the
     initial subdivision is split at those inside (a, b).  Raises
     AccuracyError (with the best estimate attached) if f returns a
-    non-finite value, or if the budget of 4096 intervals is exhausted
-    before the error estimate drops below tol.  An exception raised by f
-    itself propagates unchanged.
+    non-finite value or the panel sums leave the float range, or if the
+    budget of 4096 intervals is exhausted before the error estimate drops
+    below tol.  An exception raised by f itself propagates unchanged.
     """
     if not callable(f):
         raise DomainError(f"f must be callable, got {f!r}")
@@ -142,13 +142,16 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10,
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
 
     # exact re-summation of the panel values for the final total
-    total = math.fsum(item[3] for item in heap)
-    total_err = math.fsum(item[4] for item in heap)
+    try:
+        total = math.fsum(item[3] for item in heap)
+        total_err = math.fsum(item[4] for item in heap)
+    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+        total = total_err = math.nan
 
     result = QuadratureResult(total, total_err, nevals)
     if not (math.isfinite(total) and math.isfinite(total_err)):
         raise AccuracyError(
-            f"quadrature met a non-finite integrand value after {nevals} evaluations",
+            f"quadrature met a non-finite value after {nevals} evaluations",
             best=result,
         )
     if total_err > tol:

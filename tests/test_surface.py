@@ -54,6 +54,27 @@ def test_public_surface_is_pinned():
     assert exported == PUBLIC
 
 
+def test_each_export_is_its_defining_module_s_object():
+    # the package republishes each module's __all__: an export is the
+    # object of the module that lists it, so a later __all__ that shadows
+    # one (asymptotics' memoized gamma_complex, say) shows up here
+    homes = {}
+    for name in ("asymptotics", "bhatt", "counting", "errors", "modexp", "quadrature",
+                 "specfun"):
+        module = importlib.import_module(f"spartitions.{name}")
+        for attr in module.__all__:
+            assert attr not in homes, (attr, name, homes.get(attr))
+            homes[attr] = module
+    assert set(homes) == PUBLIC
+    for attr, module in homes.items():
+        assert getattr(spartitions, attr) is getattr(module, attr), attr
+    assert spartitions.gamma_complex is spartitions.specfun.gamma_complex
+    # no standard-library module rides along on the package
+    modules = {name for name, value in vars(spartitions).items()
+               if isinstance(value, types.ModuleType)}
+    assert all(vars(spartitions)[name].__name__ == f"spartitions.{name}" for name in modules)
+
+
 def test_bench_bindings_resolve():
     # the traced bench wraps these names in place; one that is gone breaks
     # bench/run.py --trace 1, which the unit tests never run

@@ -6,11 +6,15 @@
 compared against the exact counts.  All logs are base-2 floors taken
 from integer bit lengths; floating point never touches the bound.
 
-The sum is evaluated by octaves, not summand by summand: the number of
-summands with m_i = k follows from n and k alone, so each octave that
-the n - 3i span costs one term.  Since 3i is tiny beside n, the m_i take
-at most two values once n >= 32, and a call costs at most two terms
-there, whatever the size of n.
+The sum has a closed form.  Let m = floor(log2 n).  For n >= 32 every
+x = n - 3i lies in [2^(m-1), 2^(m+1)), so m_i is m or m - 1, and the
+m_i = m summands number top = min(m + 1, (n - 2^m)//3 + 1):
+
+    bound = 2 + n//3 + top * m^(m-1) + (m + 1 - top) * (m - 1)^(m-2).
+
+A call reads one or two powers from a memo and does a fixed handful of
+big-int operations, whatever the size of n; below 32 it reads a table
+built summand by summand.
 
 Degenerate summands are not defined by the source, so the audit pins a
 convention and reports it alongside every scan: a summand with
@@ -34,9 +38,17 @@ TERM_CONVENTION = (
     "(avoids 0^-1); floor(log2(n-3i)) = 1 -> 1^0 = 1"
 )
 
-# m^(m-1) memo, filled on first use so that no n is out of range;
-# computing the power on every call would make a 64-bit bhatt_bound call
-# 1.25-1.5 times as slow, and one at n = 10^400 (m = 1328) 15 times as slow
+# the bound at n = 0..31, summand by summand under TERM_CONVENTION: an
+# x = n - 3i below 2 adds 0, and one of bit length b >= 2 adds
+# (b - 1)^(b - 2), which is 1^0 = 1 at b = 2
+_SMALL = tuple(2 + n // 3 + sum((x.bit_length() - 1) ** (x.bit_length() - 2)
+                                for x in range(n, n - 3 * n.bit_length(), -3) if x >= 2)
+               for n in range(32))
+
+# m^(m-1) memo, filled on first use so that no n is out of range and a
+# huge n stores only the one or two m it reads; computing the power on
+# every call would make a 64-bit bhatt_bound call 1.25-1.5 times as slow,
+# and one at n = 10^400 (m = 1328) 15 times as slow
 _POW: dict[int, int] = {}
 
 
@@ -57,24 +69,31 @@ class AuditSummary:
 def bhatt_bound(n: int) -> int:
     """Exact value of the claimed upper bound at n >= 1.
 
-    Of the width = bit_length(n) summands (i < width), those with
-    n - 3i >= 2^m number min(width, (n - 2^m)//3 + 1).  Walking m down
-    from width - 1, each step adds the new ones times m^(m-1), until all
-    width summands are placed or m reaches 1 (below it n - 3i < 2, and a
-    summand is 0).  That is one term per octave from the largest m_i down
-    to the smallest (or to 1 while a summand is 0): at most two for
-    n >= 32, where every n - 3i >= 2^(width-2), so O(1) big-int
-    operations however large n is.
+    Below 32 one table read.  From 32 up, with m = bit_length(n) - 1,
+    the top = (n - 2^m)//3 + 1 summands with n - 3i >= 2^m (all m + 1 of
+    them once top > m) add m^(m-1) each and the rest (m - 1)^(m-2): two
+    memo reads at most, one when every summand has m_i = m, and a fixed
+    handful of big-int operations however large n is.
     """
-    _check_int("n", n, 1)
-    total = 2 + n // 3
-    width = n.bit_length()
-    above, m = 0, width - 1  # above: summands with n - 3i >= 2^(m+1)
-    while above < width and m >= 1:
-        reach = min(width, (n - (1 << m)) // 3 + 1)
-        total += (reach - above) * (_POW.get(m) or _POW.setdefault(m, m ** (m - 1)))
-        above, m = reach, m - 1
-    return total
+    # _check_int's test inlined, its call kept only to raise: a call on
+    # every query would cost a tenth of one
+    if type(n) is not int or n < 1:
+        _check_int("n", n, 1)
+    if n < 32:
+        return _SMALL[n]
+    m = n.bit_length() - 1
+    top = (n - (1 << m)) // 3 + 1
+    try:
+        high = _POW[m]
+    except KeyError:
+        high = _POW[m] = m ** (m - 1)
+    if top > m:
+        return 2 + n // 3 + (m + 1) * high
+    try:
+        low = _POW[m - 1]
+    except KeyError:
+        low = _POW[m - 1] = (m - 1) ** (m - 2)
+    return 2 + n // 3 + top * high + (m + 1 - top) * low
 
 
 def _bounds(n_max: int) -> Iterator[int]:

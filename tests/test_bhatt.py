@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -69,9 +70,9 @@ def test_bound_matches_the_summand_loop():
 
 def test_bound_takes_one_term_per_octave(monkeypatch):
     class Terms(dict):  # the _POW memo, noting each m the bound reads
-        def get(self, m, default=None):
+        def __getitem__(self, m):
             seen.append(m)
-            return super().get(m, default)
+            return super().__getitem__(m)
 
     monkeypatch.setattr(bhatt, "_POW", Terms())
     rng = random.Random(32)
@@ -82,19 +83,42 @@ def test_bound_takes_one_term_per_octave(monkeypatch):
         seen = []
         bhatt_bound(n)
         top = n.bit_length() - 1
-        # m = top, top - 1, ..., one step per octave
+        # m = top, top - 1, ..., one read per octave
         assert seen == list(range(top, top - len(seen), -1)), n
         if n >= 32:
             # every x = n - 3i lies in [2^(top-1), 2^(top+1)): one term for
             # each distinct m, and so at most two, whatever the size of n
             octaves = {x.bit_length() - 1 for x in range(n, n - 3 * (top + 1), -3)}
             assert len(seen) == len(octaves) <= 2, n
+        else:
+            assert seen == [], n  # the table below 32
+
+
+def test_bound_memo_holds_only_what_it_reads(monkeypatch):
+    monkeypatch.setattr(bhatt, "_POW", {})
+    # the x = n - 3i span the octaves 5000 and 4999 here: both powers are
+    # read, and one call stores those two and no others
+    n = 2 ** 5000 + 12345
+    octaves = Counter(x.bit_length() - 1 for x in range(n, n - 3 * 5001, -3))
+    assert octaves == {5000: 4116, 4999: 885}
+    assert bhatt_bound(n) == 2 + n // 3 + sum(c * m ** (m - 1) for m, c in octaves.items())
+    assert sorted(bhatt._POW) == [4999, 5000]
+    # the next n reads the same two and adds nothing
+    assert bhatt_bound(n + 3) == bhatt_bound(n) + 1 + 5000 ** 4999 - 4999 ** 4998
+    assert sorted(bhatt._POW) == [4999, 5000]
 
 
 def test_bound_domain():
     # bool is an int subclass: True would give bhatt_bound(1) = 2
     for n in (0, -1, 2.5, 8.0, True, False):
         with pytest.raises(DomainError):
+            bhatt_bound(n)
+
+
+def test_bound_domain_message():
+    # the fast path tests n itself and leaves the message to _check_int
+    for n in (0, -7, 2.5, True):
+        with pytest.raises(DomainError, match=f"^n must be an int >= 1, got {n!r}$"):
             bhatt_bound(n)
 
 
@@ -282,6 +306,31 @@ def test_violation_set_exact_below_1e6_and_certified_to_2_201():
 
     for j in range(19, 201):
         assert lb(j // 2, 1 << j) > ub(j), j
+
+    # Past 2^201, the README's proof.  With K = j // 2,
+    # L_j = 2^(sum_{k=2..K} (j - k)) / K^(K-1) < LB_K(2^j) and
+    # R_j = 2 (j + 1) j^(j-1) >= UB_j; from j to j + 2, L_j / R_j does not
+    # fall while 2^(j+K-1) >= 41 (K + 1) (j + 2)^2 (41 > 2e^3), which holds
+    # at j = 20 and then for every j >= 20.  So L_j > R_j at j = 20 and 21
+    # carries the certificate to every j >= 20.
+    def l_parts(j):  # L_j as (numerator, denominator)
+        K = j // 2
+        return 1 << sum(j - k for k in range(2, K + 1)), K ** (K - 1)
+
+    def r(j):
+        return 2 * (j + 1) * j ** (j - 1)
+
+    assert 2 * math.e ** 3 < 41
+    for j in (20, 21):
+        num, den = l_parts(j)
+        assert num > r(j) * den, j
+    for j in range(20, 600):
+        K = j // 2
+        assert 1 << (j + K - 1) >= 41 * (K + 1) * (j + 2) ** 2, j
+    # both lemmas where the certificate also checks LB_K(2^j) > UB_j
+    for j in range(20, 201):
+        num, den = l_parts(j)
+        assert num < lb(j // 2, 1 << j) * den and r(j) >= ub(j), j
 
     # spot checks of both lemmas against the library
     for j in (12, 15, 19):

@@ -1,8 +1,10 @@
 """The README's computed figures, each read out of its sentence and checked
 against the library in the README's own rounding: the estimates and the
-exact logs they are compared with, criteria 2, 8 and 9's differences, the
-alpha slices, the modexp means of demo 06, the violation set of Bhatt's
-bound and the log margin of its block certificate."""
+exact logs they are compared with, criteria 2, 8 and 9's differences and
+the old pin of criterion 2, the alpha slices, the modexp means of demo 06
+and the chain's count at 10^18, the DP's carries, the violation set of
+Bhatt's bound, the log margin of its block certificate and the full
+evaluations of its scan."""
 
 import itertools
 import math
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from spartitions import bhatt, counting, modexp
 from spartitions import (
     OpCount,
     audit_scan,
@@ -133,3 +136,60 @@ def test_violation_set_and_margin(mersenne):
     lb = math.prod((1 << j) // (K * ((1 << k) - 1)) + 1 for k in range(2, K + 1))
     assert figures("the margin between them, already {} at j = 100") == [
         f"{ln_count(lb) - ln_count(ub):+.0f}"]
+
+
+def test_criterion_2_old_pin():
+    # ln2 - pi^2/(12 ln2), the alpha that criterion 2 once expected; the
+    # README writes its sign as a minus sign
+    ln2 = math.log(2)
+    assert figures("The old interval is ln2 − π²/(12 ln2) = −{},") == rounded(
+        [math.pi ** 2 / (12 * ln2) - ln2], 6)
+
+
+def test_modexp_count_at_1e18(monkeypatch):
+    def count():
+        ops = OpCount()
+        modexp_spartition(7, 10 ** 18, 2 ** 61 - 1, ops)
+        return ops.total
+
+    chosen = count()
+    # a table of depth 1 is the plain chain, 2 (K - 1) + #parts - 1
+    monkeypatch.setattr(modexp, "_table_depth", lambda exponents: 1)
+    plain = count()
+    exponents = greedy_decompose(10 ** 18).exponents
+    assert plain == 2 * (max(exponents) - 1) + len(exponents) - 1
+    assert figures("the plain chain's 2(K − 1) + #parts − 1 for largest exponent K: "
+                   "{} for n = 10^18 (plain chain {})") == [str(chosen), str(plain)]
+
+
+def test_dp_carries(monkeypatch):
+    runs = []
+    carry = counting._carry
+
+    def counted(*args):
+        runs.append(None)
+        carry(*args)
+
+    monkeypatch.setattr(counting, "_carry", counted)
+    triggered = []
+    for n_max in (10 ** 5, 10 ** 6):
+        runs.clear()
+        counting._s_blocks(n_max)  # the DP runs here; no block is decoded
+        triggered.append(str(len(runs) - 1))  # all but the final carry
+    assert figures("the bound triggers {} carries for a 10^5 table and {} for 10^6"
+                   ) == triggered
+
+
+def test_scan_evaluations_at_1e6(monkeypatch):
+    calls = []
+    formula = bhatt.bhatt_bound
+
+    def counting_bound(n):
+        calls.append(n)
+        return formula(n)
+
+    monkeypatch.setattr(bhatt, "bhatt_bound", counting_bound)
+    for _ in bhatt._bounds(10 ** 6):
+        pass
+    assert figures("at most bit_length(n_max)² times ({} times for n_max = 10^6)"
+                   ) == [str(len(calls))]

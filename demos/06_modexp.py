@@ -45,7 +45,7 @@ for bits in (64, 256, 1024):
         modexp_spartition(a, n, m, ops)
         exponents = greedy_decompose(n).exponents
         chain += ops.total
-        plain += 2 * (exponents[0] - 1) + len(exponents)
+        plain += 2 * (exponents[0] - 1) + len(exponents) - 1
         binary += n.bit_length() - 1 + bin(n).count("1") - 1
     print(f"  {bits:4d}   {chain / 200:10.1f}   {plain / 200:11.1f}   {binary / 200:19.1f}"
           f"   ({chain / binary:.2f}x and {plain / binary:.2f}x)")

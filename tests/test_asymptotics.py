@@ -539,23 +539,24 @@ def test_w_exit_rule_holds_at_a_power_of_two(monkeypatch):
 
 
 def test_w_stops_after_few_terms(monkeypatch):
-    # a W near 1e-6 needs 3 terms, rarely 4: term 4 is near 1e-25
+    # the docstring's "3 terms, rarely 4" at the default nu_max, one zeta
+    # call per term: a W near 1e-6 needs 3, and term 4 is near 1e-25
     calls = []
-    memo = asymptotics.gamma_complex
+    memo = asymptotics.zeta_complex
 
-    def counted(z):
-        calls.append(z)
-        return memo(z)
+    def counted(s):
+        calls.append(s)
+        return memo(s)
 
-    monkeypatch.setattr(asymptotics, "gamma_complex", counted)
+    monkeypatch.setattr(asymptotics, "zeta_complex", counted)
     rng = random.Random(12)
     counts = []
-    for _ in range(500):
+    for _ in range(20000):
         calls.clear()
-        w_oscillation_complex(rng.uniform(0.0, 50.0), 40)
+        w_oscillation(rng.uniform(0.0, 50.0))
         counts.append(len(calls))
     assert set(counts) <= {3, 4}
-    assert counts.count(3) > 0.9 * len(counts)
+    assert counts.count(4) < 0.05 * len(counts)
     calls.clear()
     w_oscillation_complex(_w_zero(0.0), 40)
     assert len(calls) > 4

@@ -1,10 +1,10 @@
 """The README's computed figures, each read out of its sentence and checked
 against the library in the README's own rounding: the estimates and the
-exact logs they are compared with, criteria 2, 8 and 9's differences and
-the old pin of criterion 2, the alpha slices, the modexp means of demo 06
-and the chain's count at 10^18, the DP's carries, the violation set of
-Bhatt's bound, the log margin of its block certificate and the full
-evaluations of its scan."""
+exact logs they are compared with, criteria 2, 8 and 9's differences, the
+old pin of criterion 2 and the limit it would need, the alpha slices, the
+modexp means and ratios of demo 06 and the chain's count at 10^18, the
+DP's carries, the violation set of Bhatt's bound, the log margin of its
+block certificate and the full evaluations of its scan."""
 
 import itertools
 import math
@@ -17,6 +17,7 @@ import pytest
 from spartitions import bhatt, counting, modexp
 from spartitions import (
     OpCount,
+    alpha_constant,
     audit_scan,
     binary_partition_params,
     count_binary_partitions_table,
@@ -109,13 +110,19 @@ def test_modexp_means_of_demo_06():
             modexp_spartition(a, n, m, ops)
             exponents = greedy_decompose(n).exponents
             chain += ops.total
-            plain += 2 * (exponents[0] - 1) + len(exponents)
+            plain += 2 * (exponents[0] - 1) + len(exponents) - 1
             binary += n.bit_length() - 1 + bin(n).count("1") - 1
         means += [chain / 200, plain / 200, binary / 200]
     assert figures(
         "Over 200 seeded n each (`demos/06_modexp.py`): {} (plain chain {}) against {} "
         "at 64 bits, {} ({}) against {} at 256 bits and {} ({}) against {} at 1024 bits"
     ) == rounded(means, 0)
+    chain = [means[i] / means[i + 2] for i in (0, 3, 6)]
+    plain = [means[i + 1] / means[i + 2] for i in (0, 3, 6)]
+    assert figures(
+        "the chain needs about {}–{}× the modular multiplications of plain "
+        "square-and-multiply (bit_length − 1 + popcount − 1), where the plain chain "
+        "x → x²·a needed {}–{}×") == rounded([min(chain), max(chain), min(plain), max(plain)], 2)
 
 
 def test_violation_set_and_margin(mersenne):
@@ -142,8 +149,11 @@ def test_criterion_2_old_pin():
     # ln2 - pi^2/(12 ln2), the alpha that criterion 2 once expected; the
     # README writes its sign as a minus sign
     ln2 = math.log(2)
-    assert figures("The old interval is ln2 − π²/(12 ln2) = −{},") == rounded(
-        [math.pi ** 2 / (12 * ln2) - ln2], 6)
+    pin = ln2 - math.pi ** 2 / (12 * ln2)
+    assert figures("The old interval is ln2 − π²/(12 ln2) = −{},") == rounded([-pin], 6)
+    # the limit of the Mersenne-minus-binary difference under the old pin
+    assert figures("moving away from the {} the old pin would need") == [
+        f"{alpha_constant() - pin:+.3f}"]
 
 
 def test_modexp_count_at_1e18(monkeypatch):

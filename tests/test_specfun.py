@@ -10,6 +10,7 @@ from spartitions import (
     DomainError,
     gamma_complex,
     gamma_imag_axis_modulus,
+    specfun,
     zeta_complex,
 )
 
@@ -49,7 +50,28 @@ def test_gamma_against_mpmath_band():
                 continue
             z = complex(re, im)
             ref = mp_gamma(z)
-            assert abs(gamma_complex(z) - ref) <= 1e-12 * abs(ref), z
+            # on the real axis the value is math.gamma's
+            rel = 1e-15 if im == 0.0 else 1e-12
+            assert abs(gamma_complex(z) - ref) <= rel * abs(ref), z
+
+
+def test_gamma_off_the_real_axis_is_the_lanczos_sum():
+    # bit for bit, W's frequencies i t_nu among them
+    rng = random.Random(38)
+    zs = [1j * nu * T1 for nu in range(1, 23)]
+    zs += [complex(rng.uniform(-80.0, 190.0), rng.uniform(-200.0, 200.0))
+           for _ in range(2000)]
+    compared = 0
+    for z in zs:
+        try:
+            value = gamma_complex(z)
+        except DomainError:
+            continue
+        lanczos = specfun._lanczos(z)
+        assert (value.real.hex(), value.imag.hex()) == (lanczos.real.hex(),
+                                                        lanczos.imag.hex()), z
+        compared += 1
+    assert compared >= 1500
 
 
 def test_gamma_conjugate_symmetry():
@@ -90,23 +112,25 @@ def test_gamma_past_the_float_range(z):
 
 @pytest.mark.parametrize("x", [-171.0000001, -172.00000001, -173.0000000001])
 def test_gamma_below_the_reflection_on_the_real_axis(x):
-    # Gamma(1 - x) overflows, so the reflection cannot give Gamma(x); near
-    # a pole Gamma(x) is still a normal float: 8.06e-303, -4.68e-304, ...
+    # below -170.62, where Gamma(1 - x) overflows a float; near a pole
+    # Gamma(x) is still a normal float: 8.06e-303, -4.68e-304, ...
     ref = mp_gamma(x)
     assert abs(ref) >= sys.float_info.min
     value = gamma_complex(x)
     assert value.imag == 0.0
-    assert abs(value - ref) <= 1e-13 * abs(ref), x
+    assert abs(value - ref) <= 1e-15 * abs(ref), x
 
 
 def test_gamma_on_the_real_axis_is_close_or_below_the_normal_range():
-    # from -170.6 down to -185, spread and near each pole from either side:
-    # each z gives Gamma(z) to 1e-13 or raises DomainError, and only where
-    # |Gamma(z)| is below the normal float range
+    # spread from -185 up to the overflow at 171.62, near each pole from
+    # -1 to -185 from either side, and at 100.5, where the Lanczos sum errs
+    # by 3.4e-14: each z gives Gamma(z) to 1e-15 or raises DomainError, and
+    # only where |Gamma(z)| is below the normal float range
     rng = random.Random(31)
     xs = [rng.uniform(-185.0, -170.6) for _ in range(200)]
     xs += [sign * 10.0 ** -rng.uniform(1.0, 12.0) - k
-           for k in range(171, 186) for sign in (-1, 1) for _ in range(10)]
+           for k in range(1, 186) for sign in (-1, 1) for _ in range(10)]
+    xs += [rng.uniform(-170.6, 171.6) for _ in range(1000)] + [100.5]
     values = 0
     for x in xs:
         ref = mp_gamma(x)
@@ -116,14 +140,13 @@ def test_gamma_on_the_real_axis_is_close_or_below_the_normal_range():
             assert abs(ref) < sys.float_info.min, x
             continue
         values += 1
-        assert abs(value - ref) <= 1e-13 * abs(ref), x
+        assert abs(value - ref) <= 1e-15 * abs(ref), x
     assert values >= 40
 
 
 def test_gamma_never_returns_a_subnormal_on_the_real_axis():
-    # on (-170.62, -170.583) the Lanczos reflection still succeeds, yet
-    # |Gamma| is below sys.float_info.min there (Gamma(-170.6) = -2.08e-308):
-    # it raises DomainError as math.gamma's path does further down, and a
+    # |Gamma| is below sys.float_info.min from about -170.583 down
+    # (Gamma(-170.6) = -2.08e-308): it raises DomainError there, and a
     # normal |Gamma| just above the edge is still returned
     raised = returned = 0
     for i in range(201):
@@ -136,8 +159,7 @@ def test_gamma_never_returns_a_subnormal_on_the_real_axis():
             raised += 1
             continue
         assert abs(value) >= sys.float_info.min, x
-        # the reflection's relative error reaches 1.02e-13 at -170.5828
-        assert abs(value - ref) <= 2e-13 * abs(ref), x
+        assert abs(value - ref) <= 1e-15 * abs(ref), x
         returned += 1
     assert raised >= 100 and returned >= 50
 

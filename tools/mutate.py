@@ -11,7 +11,7 @@ Each mutant rewrites one AST site of the module:
 - a `not` or a unary minus dropped;
 - an integer constant moved by +1 or -1.
 
-The mutant is written into a temporary copy of src/, tests/ and
+The mutant is written into a temporary copy of src/, tests/, bench/ and
 pyproject.toml, never into the repository, and the test files run there
 with `pytest -x`, one child process at a time.  A child that fails, times
 out or hits its address-space cap has killed the mutant; one that passes
@@ -156,10 +156,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         copy = Path(scratch)
-        shutil.copytree(ROOT / "src", copy / "src",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(ROOT / "tests", copy / "tests",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        # bench/ too: tests/test_surface.py reads its span bindings
+        for tree_name in ("src", "tests", "bench"):
+            shutil.copytree(ROOT / tree_name, copy / tree_name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         target = copy / args.module
         clean = time.perf_counter()
